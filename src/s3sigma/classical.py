@@ -8,6 +8,7 @@ algebra {eps^i, theta_j, rho}.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -337,6 +338,30 @@ def hj_inverse(sp: SolutionPoint, t: float, cfg: SpaceConfig) -> PhaseState:
     return geodesic_exact(PhaseState(c0, vel0), t, cfg)
 
 
+#: Columns of the basis kernel and rows/columns of the bracket matrices.
+_BASIS_NAMES = ("eps1", "eps2", "eps3", "theta1", "theta2", "theta3", "rho")
+
+
+def _basis_values(x, cfg: SpaceConfig, rho_sign: int) -> np.ndarray:
+    """The seven basic functions eps1..3, theta1..3, rho at Darboux points.
+
+    x holds (eps, pi) along its last axis, (..., 6) in and (..., 7) out,
+    all on the hemisphere rho_sign.  theta = (rho pi + eps x pi / R) / m
+    is Z pi / m with Z the right dual frame.  Only analytic operations
+    are used, so a complex x gives complex-step derivatives; a real
+    height is clamped at the chart boundary as geometry.rho does.
+    """
+    e0, e1, e2, p0, p1, p2 = np.moveaxis(np.asarray(x), -1, 0)
+    height2 = 1.0 - (e0 * e0 + e1 * e1 + e2 * e2) / (cfg.R * cfg.R)
+    if not np.iscomplexobj(height2):
+        height2 = np.maximum(height2, 0.0)
+    r = rho_sign * np.sqrt(height2)
+    theta = ((r * p0 + (e1 * p2 - e2 * p1) / cfg.R) / cfg.m,
+             (r * p1 + (e2 * p0 - e0 * p2) / cfg.R) / cfg.m,
+             (r * p2 + (e0 * p1 - e1 * p0) / cfg.R) / cfg.m)
+    return np.stack([e0, e1, e2, *theta, r], axis=-1)
+
+
 def theta_of_darboux(eps: np.ndarray, pi: np.ndarray, cfg: SpaceConfig,
                      rho_sign: int = +1) -> np.ndarray:
     """Velocity-type invariants from Darboux coordinates.
@@ -344,8 +369,10 @@ def theta_of_darboux(eps: np.ndarray, pi: np.ndarray, cfg: SpaceConfig,
     theta_j = (1/m) Z[j, k](eps) pi_k, the inverse of the defining
     relation pi_i = m T[k, i] theta_k.
     """
-    zmat = dual_field(ChartCoords(np.asarray(eps, dtype=float), rho_sign), "right", cfg)
-    return (zmat @ np.asarray(pi, dtype=float)) / cfg.m
+    c = ChartCoords(eps, rho_sign)
+    c.validate(cfg)
+    x = np.concatenate([c.eps, np.asarray(pi, dtype=float).reshape(3)])
+    return _basis_values(x, cfg, rho_sign)[3:6]
 
 
 def poisson_bracket(f, g, at: SolutionPoint, cfg: SpaceConfig,
@@ -376,17 +403,6 @@ def poisson_bracket(f, g, at: SolutionPoint, cfg: SpaceConfig,
     return float(fe @ gp - fp @ ge)
 
 
-def _basis_functions(cfg: SpaceConfig, rho_sign: int = +1) -> dict:
-    """The seven functions closing the basic algebra, as (eps, pi) closures."""
-    funcs = {}
-    for i in range(3):
-        funcs[f"eps{i + 1}"] = (lambda i=i: lambda e, p: float(e[i]))()
-        funcs[f"theta{i + 1}"] = (
-            lambda i=i: lambda e, p: float(theta_of_darboux(e, p, cfg, rho_sign)[i]))()
-    funcs["rho"] = lambda e, p: rho_of(np.asarray(e), cfg) * rho_sign
-    return funcs
-
-
 def _sample_solution_points(rng: np.random.Generator, cfg: SpaceConfig,
                             count: int, radius_fraction: float = 0.7) -> list[SolutionPoint]:
     pts = []
@@ -398,30 +414,69 @@ def _sample_solution_points(rng: np.random.Generator, cfg: SpaceConfig,
     return pts
 
 
-def jacobi_residual(names: tuple[str, str, str], at: SolutionPoint,
-                    cfg: SpaceConfig, outer_h_scale: float = 10.0) -> float:
-    """|{f,{g,h}} + {g,{h,f}} + {h,{f,g}}| via nested numerical brackets.
-
-    The outer bracket uses a step 10x the inner one so the inner
-    roundoff noise is not amplified above the 1e-6 target.
-    """
-    funcs = _basis_functions(cfg, at.rho_sign)
-    f, g, h = (funcs[n] for n in names)
+def _stencil_steps(at: SolutionPoint, cfg: SpaceConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The point as one (eps, pi) array and the default steps of its stencils."""
     h_eps = numdiff.DEFAULT_REL_STEP * cfg.R
     h_pi = numdiff.DEFAULT_REL_STEP * max(1.0, float(np.linalg.norm(at.pi0)))
+    if float(np.linalg.norm(at.eps0)) + 2.0 * h_eps > cfg.R * (1.0 - 1e-8):
+        raise StencilError("bracket stencil would leave the chart")
+    return np.concatenate([at.eps0, at.pi0]), np.array([h_eps] * 3 + [h_pi] * 3)
 
-    def nested(a, b):
-        def inner(e, p):
-            pt = SolutionPoint(e, theta_of_darboux(e, p, cfg, at.rho_sign), p,
-                               at.rho_sign)
-            return poisson_bracket(a, b, pt, cfg, h_eps, h_pi)
-        return inner
 
-    he, hp = outer_h_scale * h_eps, outer_h_scale * h_pi
-    total = poisson_bracket(f, nested(g, h), at, cfg, he, hp)
-    total += poisson_bracket(g, nested(h, f), at, cfg, he, hp)
-    total += poisson_bracket(h, nested(f, g), at, cfg, he, hp)
-    return abs(total)
+def _poisson_matrix(jac: np.ndarray) -> np.ndarray:
+    """P[..., f, g] = {f, g} from gradients jac[..., f, :] over (eps, pi).
+
+    P = A - A^T with A = J_eps J_pi^T, so P is exactly antisymmetric.
+    """
+    a = jac[..., :3] @ np.swapaxes(jac[..., 3:], -1, -2)
+    return a - np.swapaxes(a, -1, -2)
+
+
+def _bracket_matrix(at: SolutionPoint, cfg: SpaceConfig) -> np.ndarray:
+    """Brackets P[f, g] = {f, g} of the seven basic functions at a point.
+
+    One 4th-order stencil gradient of all seven functions, the same
+    differences as `poisson_bracket` takes of each function alone.
+    """
+    x, h = _stencil_steps(at, cfg)
+    return _poisson_matrix(numdiff.stencil_gradient(
+        lambda y: _basis_values(y, cfg, at.rho_sign), x, h))
+
+
+def _jacobi_sums(at: SolutionPoint, cfg: SpaceConfig) -> np.ndarray:
+    """S[f, g, k] = {f,{g,k}} + {g,{k,f}} + {k,{f,g}} at a point.
+
+    The inner matrix P is taken by complex step at the 24 points of the
+    outer stencil, so its only error is rounding and the outer 4th-order
+    difference does not amplify any inner truncation.  With the gradient
+    of the functions themselves, also by complex step, that gives every
+    outer bracket B[f, g, k] = {f, P_gk} at once.
+    """
+    x, h = _stencil_steps(at, cfg)
+
+    def basis(y):
+        return _basis_values(y, cfg, at.rho_sign)
+
+    def flat_poisson_matrix(y):
+        p = _poisson_matrix(numdiff.complex_step_gradient(basis, y))
+        return p.reshape(p.shape[:-2] + (49,))
+
+    dp = numdiff.stencil_gradient(flat_poisson_matrix, x, h).reshape(7, 7, 6)
+    jac = numdiff.complex_step_gradient(basis, x)
+    b = (np.einsum("fi,gki->fgk", jac[:, :3], dp[..., 3:])
+         - np.einsum("fi,gki->fgk", jac[:, 3:], dp[..., :3]))
+    return b + b.transpose(2, 0, 1) + b.transpose(1, 2, 0)
+
+
+def jacobi_residual(names: tuple[str, str, str], at: SolutionPoint,
+                    cfg: SpaceConfig) -> float:
+    """|{f,{g,h}} + {g,{h,f}} + {h,{f,g}}| for three basic functions at a point."""
+    f, g, h = (_BASIS_NAMES.index(n) for n in names)
+    return float(abs(_jacobi_sums(at, cfg)[f, g, h]))
+
+
+def _max_abs(a: np.ndarray) -> float:
+    return float(np.max(np.abs(a), initial=0.0))
 
 
 def verify_basic_algebra(sample_count: int, cfg: SpaceConfig, seed: int = 0,
@@ -432,53 +487,36 @@ def verify_basic_algebra(sample_count: int, cfg: SpaceConfig, seed: int = 0,
     plus fitted coefficients for the two families whose mass dependence
     is measured rather than asserted: {theta_i, theta_j} = c eta theta_k
     with c = 2/(m R), and {theta_i, rho} = c' eps_i with c' = 1/(m R^2).
+    Every family is read from one bracket matrix per point, and the
+    Jacobi identity of all 35 triples from one tensor per Jacobi point.
+    Points go one at a time: one call on all points saved about 0.02 s
+    but held about 0.7 MB more peak memory in temporaries.
     """
     rng = np.random.default_rng(seed)
     pts = _sample_solution_points(rng, cfg, sample_count)
-    funcs_proto = _basis_functions(cfg)
+    brackets = np.array([_bracket_matrix(sp, cfg) for sp in pts]).reshape(-1, 7, 7)
+    e0 = np.array([sp.eps0 for sp in pts]).reshape(-1, 3)
+    th0 = np.array([sp.theta0 for sp in pts]).reshape(-1, 3)
+    r0 = np.array([rho_of(sp.eps0, cfg) * sp.rho_sign for sp in pts])
 
-    res_ee = res_erho = 0.0
-    res_eth = 0.0
-    thth_num = thth_den = 0.0
-    thrho_num = thrho_den = 0.0
-    res_antisym = 0.0
-
-    for sp in pts:
-        funcs = _basis_functions(cfg, sp.rho_sign)
-        e0, p0 = sp.eps0, sp.pi0
-        r0 = rho_of(e0, cfg) * sp.rho_sign
-        th0 = sp.theta0
-        for i in range(3):
-            for j in range(3):
-                b = poisson_bracket(funcs[f"eps{i+1}"], funcs[f"eps{j+1}"], sp, cfg)
-                res_ee = max(res_ee, abs(b))
-                b = poisson_bracket(funcs[f"eps{i+1}"], funcs[f"theta{j+1}"], sp, cfg)
-                expected = (LEVI_CIVITA[i, j] @ e0) / cfg.R + (r0 if i == j else 0.0)
-                res_eth = max(res_eth, abs(b - expected / cfg.m))
-                if i < j:
-                    bij = poisson_bracket(funcs[f"theta{i+1}"], funcs[f"theta{j+1}"],
-                                          sp, cfg)
-                    bji = poisson_bracket(funcs[f"theta{j+1}"], funcs[f"theta{i+1}"],
-                                          sp, cfg)
-                    res_antisym = max(res_antisym, abs(bij + bji))
-                    basis = float(LEVI_CIVITA[i, j] @ th0)
-                    thth_num += bij * basis
-                    thth_den += basis * basis
-            b = poisson_bracket(funcs[f"eps{i+1}"], funcs["rho"], sp, cfg)
-            res_erho = max(res_erho, abs(b))
-            b = poisson_bracket(funcs[f"theta{i+1}"], funcs["rho"], sp, cfg)
-            thrho_num += b * e0[i]
-            thrho_den += e0[i] * e0[i]
-
-    coef_thth = thth_num / thth_den if thth_den else float("nan")
-    coef_thrho = thrho_num / thrho_den if thrho_den else float("nan")
+    eps_theta = (np.einsum("ijk,nk->nij", LEVI_CIVITA, e0) / cfg.R
+                 + r0[:, None, None] * np.eye(3))
+    upper = ([0, 0, 1], [1, 2, 2])  # the pairs i < j
+    thth = brackets[:, 3:6, 3:6]
+    thth_basis = np.einsum("ijk,nk->nij", LEVI_CIVITA, th0)[:, upper[0], upper[1]]
+    thth_upper = thth[:, upper[0], upper[1]]
+    thrho = brackets[:, 3:6, 6]
+    thth_den = float(np.sum(thth_basis * thth_basis))
+    thrho_den = float(np.sum(e0 * e0))
+    coef_thth = float(np.sum(thth_upper * thth_basis)) / thth_den if thth_den else float("nan")
+    coef_thrho = float(np.sum(thrho * e0)) / thrho_den if thrho_den else float("nan")
 
     report = {
         "samples": sample_count,
-        "max_residual_eps_eps": res_ee,
-        "max_residual_eps_theta_model": res_eth,
-        "max_residual_eps_rho": res_erho,
-        "max_residual_theta_antisymmetry": res_antisym,
+        "max_residual_eps_eps": _max_abs(brackets[:, :3, :3]),
+        "max_residual_eps_theta_model": _max_abs(brackets[:, :3, 3:6] - eps_theta / cfg.m),
+        "max_residual_eps_rho": _max_abs(brackets[:, :3, 6]),
+        "max_residual_theta_antisymmetry": _max_abs(thth + np.swapaxes(thth, -1, -2)),
         "theta_theta_coefficient_measured": coef_thth,
         "theta_theta_coefficient_model": 2.0 / (cfg.m * cfg.R),
         "theta_theta_coefficient_nominal": 2.0 * cfg.m / cfg.R,
@@ -488,18 +526,12 @@ def verify_basic_algebra(sample_count: int, cfg: SpaceConfig, seed: int = 0,
     }
 
     if jacobi_points > 0:
-        names = sorted(funcs_proto.keys())
-        triples = [(a, b, c)
-                   for ia, a in enumerate(names)
-                   for ib, b in enumerate(names[ia + 1:], ia + 1)
-                   for c in names[ib + 1:]]
-        worst = 0.0
-        jpts = _sample_solution_points(rng, cfg, jacobi_points, 0.6)
-        for sp in jpts:
-            for tr in triples:
-                worst = max(worst, jacobi_residual(tr, sp, cfg))
+        triples = list(itertools.combinations(sorted(_BASIS_NAMES), 3))
+        f, g, h = np.array([[_BASIS_NAMES.index(n) for n in tr] for tr in triples]).T
+        sums = np.array([_jacobi_sums(sp, cfg)[f, g, h]
+                         for sp in _sample_solution_points(rng, cfg, jacobi_points, 0.6)])
         report["jacobi_triples"] = len(triples)
         report["jacobi_points"] = jacobi_points
-        report["max_jacobi_residual"] = worst
+        report["max_jacobi_residual"] = _max_abs(sums)
 
     return report

@@ -29,14 +29,10 @@ import numpy as np
 from .config import SpaceConfig
 from .errors import DomainError
 from .geometry import LEVI_CIVITA, quat_mul, rho
+from .numdiff import _D1_OFFSETS, _D1_WEIGHTS, _D2_OFFSETS, _D2_WEIGHTS
 from .qpoly import QPoly, eval_many
 from .quadrature import QuadGrid, build_grid, integrate_values
 from .specfun import gegenbauer_series_coefficients
-
-_D1_OFFSETS = (-2.0, -1.0, 1.0, 2.0)
-_D1_WEIGHTS = (1.0, -8.0, 8.0, -1.0)
-_D2_OFFSETS = (-2.0, -1.0, 0.0, 1.0, 2.0)
-_D2_WEIGHTS = (-1.0, 16.0, -30.0, 16.0, -1.0)
 
 # Relative finite-difference steps.  Second derivatives use a larger
 # base step and both shrink toward the chart equator, where the chart

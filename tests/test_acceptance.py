@@ -67,7 +67,7 @@ def test_c05_lie_algebra():
 
 
 def test_c06_poisson_algebra():
-    res = _run(6, suite.check_poisson, samples=100, jacobi_points=10)
+    res = _run(6, suite.check_poisson, budget_s=2.0, samples=100, jacobi_points=10)
     assert res.details["max_residual_eps_eps"] < 1e-7
     assert res.details["max_residual_eps_theta_model"] < 1e-7
     assert res.details["max_residual_eps_rho"] < 1e-7

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from s3sigma import (ChartCoords, DomainError, PhaseState, StencilError,
-                     geodesic_exact, geodesic_integrate,
+from s3sigma import (ChartCoords, DomainError, PhaseState, SpaceConfig, StencilError,
+                     dual_field, geodesic_exact, geodesic_integrate,
                      hamiltonian, hj_inverse, hj_transform, lagrangian,
                      momentum, poisson_bracket, verify_basic_algebra)
-from s3sigma.classical import (SolutionPoint, _sample_solution_points,
+from s3sigma import suite
+from s3sigma.classical import (_BASIS_NAMES, SolutionPoint, _bracket_matrix,
+                               _sample_solution_points,
                                angular_frequency, geodesic_equation_residual,
                                invariant_velocities, jacobi_residual, rho_of,
                                theta_of_darboux)
@@ -277,6 +279,44 @@ def test_jacobi_identity_sample(cfg, rng):
     for triple in (("eps1", "theta2", "theta3"), ("theta1", "theta2", "rho"),
                    ("eps1", "eps2", "theta3")):
         assert jacobi_residual(triple, sp, cfg) < 1e-6
+
+
+def test_bracket_matrix_matches_scalar_brackets_on_both_hemispheres(cfg_odd, rng):
+    # the batched matrix against the scalar bracket of closures that build
+    # theta from geometry.dual_field, not from the batched kernel
+    def reference_basis(sign):
+        def theta(j):
+            return lambda e, p: float(
+                dual_field(ChartCoords(e, sign), "right", cfg_odd)[j] @ p) / cfg_odd.m
+        funcs = {f"eps{i + 1}": (lambda i=i: lambda e, p: float(e[i]))() for i in range(3)}
+        funcs.update({f"theta{j + 1}": theta(j) for j in range(3)})
+        funcs["rho"] = lambda e, p: rho(ChartCoords(e, sign), cfg_odd)
+        return funcs
+
+    pts = []
+    for sign in (+1, -1, +1, -1):
+        eps = 0.6 * cfg_odd.R * rng.uniform(-1.0, 1.0, size=3) / math.sqrt(3.0)
+        pi = cfg_odd.m * rng.normal(size=3)
+        pts.append(SolutionPoint(eps, theta_of_darboux(eps, pi, cfg_odd, sign), pi, sign))
+    for sp in pts:
+        mat = _bracket_matrix(sp, cfg_odd)
+        assert np.array_equal(mat, -mat.T)
+        funcs = reference_basis(sp.rho_sign)
+        want = np.array([[poisson_bracket(funcs[a], funcs[b], sp, cfg_odd)
+                          for b in _BASIS_NAMES] for a in _BASIS_NAMES])
+        np.testing.assert_allclose(mat, want, rtol=0.0, atol=1e-10)
+
+
+def test_jacobi_identity_at_small_radius_and_mass():
+    rep = verify_basic_algebra(1, SpaceConfig(0.5, 0.5), seed=1, jacobi_points=3)
+    assert rep["jacobi_triples"] == 35
+    assert rep["max_jacobi_residual"] < 1e-8
+
+
+def test_check_poisson_passes_at_seed_210():
+    res = suite.check_poisson(suite.RunConfig(seed=210), samples=100, jacobi_points=10)
+    assert res.passed, res.details
+    assert res.details["max_jacobi_residual"] < 1e-8
 
 
 def test_brackets_close_on_span(cfg, rng):

@@ -137,6 +137,14 @@ def test_poisson_command(tmp_path):
     assert "theta_theta_coefficient_nominal" in details
 
 
+def test_poisson_command_at_half_mass(tmp_path):
+    out = tmp_path / "p.json"
+    assert main(["poisson", "--mass", "0.5", "--out", str(out)]) == 0
+    details = json.loads(out.read_text())["check"]["details"]
+    assert details["jacobi_points"] == 10
+    assert details["max_jacobi_residual"] < 1e-6
+
+
 def test_contract_command(tmp_path):
     out = tmp_path / "c.json"
     code = main(["contract", "--radii", "10,100,1000", "--out", str(out)])
