@@ -202,8 +202,7 @@ def cmd_spectrum(args) -> int:
     rc = _run_config(args)
     cfg = rc.space()
     if args.labels:
-        grid = build_grid(max(rc.grid[0], 32), max(rc.grid[1], 16),
-                          max(rc.grid[2], 32), cfg)
+        grid = rc.quantum_grid()
         rows = quantum.eigen_residual_table(args.n_max, grid, cfg)
         if args.out and _pick_format(args, default="csv") == "csv":
             write_csv(args.out, ["n", "l", "m_z", "E", "norm_residual",

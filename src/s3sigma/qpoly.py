@@ -138,6 +138,47 @@ def _power_table(q: np.ndarray, max_degree: int) -> list[list[np.ndarray]]:
     return pows
 
 
+class MonomialBasis:
+    """The distinct monomials of a family of polynomials and its coefficients.
+
+    `coeffs[r, k]` is the coefficient of monomial `monos[k]` in
+    polynomial r, so `coeffs @ rows(q)` evaluates the whole family.  Any
+    linear operation on values (a difference stencil, a quadrature sum)
+    can run on the real monomial rows once and meet the complex
+    coefficients at the end.
+    """
+
+    __slots__ = ("monos", "coeffs", "max_degree")
+
+    def __init__(self, polys: list[QPoly]):
+        self.monos = sorted({e for p in polys for e in p.terms})
+        index = {e: k for k, e in enumerate(self.monos)}
+        self.max_degree = max((sum(e) for e in self.monos), default=0)
+        self.coeffs = np.zeros((len(polys), len(self.monos)), dtype=complex)
+        for r, p in enumerate(polys):
+            for e, coef in p.terms.items():
+                self.coeffs[r, index[e]] = coef
+
+    def rows(self, q: np.ndarray) -> np.ndarray:
+        """Real monomial values at q (..., 4), shape (len(monos), points)."""
+        q = np.asarray(q, dtype=float)
+        pows = _power_table(q, self.max_degree)
+        npts = int(np.prod(q.shape[:-1])) if q.ndim > 1 else 1
+        M = np.empty((len(self.monos), npts))
+        for k, (a, b, c, d) in enumerate(self.monos):
+            M[k] = (pows[0][a] * pows[1][b] * pows[2][c] * pows[3][d]).reshape(-1)
+        return M
+
+    def moment_matrix(self, q: np.ndarray, weight: np.ndarray) -> np.ndarray:
+        """G[j, k] = sum_n weight[n] m_j(q_n) m_k(q_n) over points q (N, 4).
+
+        With quadrature weights, <f, g> = conj(c_f) @ G @ c_g for any two
+        members f, g of the family: the same sum in another order.
+        """
+        M = self.rows(q)
+        return (M * weight) @ M.T
+
+
 def eval_many(polys: list[QPoly], q: np.ndarray) -> np.ndarray:
     """Evaluate a family of polynomials on shared points.
 
@@ -145,18 +186,6 @@ def eval_many(polys: list[QPoly], q: np.ndarray) -> np.ndarray:
     monomial basis is evaluated once, which is what makes large Gram
     matrices cheap.
     """
-    monos = sorted({e for p in polys for e in p.terms})
-    index = {e: k for k, e in enumerate(monos)}
-    max_degree = max((sum(e) for e in monos), default=0)
-    q = np.asarray(q, dtype=float)
-    pows = _power_table(q, max_degree)
-    npts = int(np.prod(q.shape[:-1])) if q.ndim > 1 else 1
-    M = np.empty((len(monos), npts))
-    for k, (a, b, c, d) in enumerate(monos):
-        M[k] = (pows[0][a] * pows[1][b] * pows[2][c] * pows[3][d]).reshape(-1)
-    C = np.zeros((len(polys), len(monos)), dtype=complex)
-    for r, p in enumerate(polys):
-        for e, coef in p.terms.items():
-            C[r, index[e]] = coef
-    vals = C @ M
-    return vals.reshape((len(polys),) + q.shape[:-1])
+    basis = MonomialBasis(polys)
+    vals = basis.coeffs @ basis.rows(q)
+    return vals.reshape((len(polys),) + np.shape(q)[:-1])

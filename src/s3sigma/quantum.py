@@ -30,7 +30,7 @@ from .config import SpaceConfig
 from .errors import DomainError
 from .geometry import LEVI_CIVITA, quat_mul, rho
 from .numdiff import _D1_OFFSETS, _D1_WEIGHTS, _D2_OFFSETS, _D2_WEIGHTS
-from .qpoly import QPoly, eval_many
+from .qpoly import MonomialBasis, QPoly, eval_many
 from .quadrature import QuadGrid, build_grid, integrate_values
 from .specfun import gegenbauer_series_coefficients
 
@@ -121,22 +121,21 @@ def _normalization_grid_orders(n: int) -> tuple[int, int, int]:
     return (max(32, 2 * n + 10), max(24, 2 * n + 6), max(48, 4 * n + 8))
 
 
-_norm_cache: dict = {}
-
-
 def basis_norm_constant(n: int, l: int, cfg: SpaceConfig) -> float:
     """Normalization constant fixed by the quadrature oracle.
 
-    The constant is independent of m_z, so it is cached per (n, l, R).
+    The constant is independent of m_z and of the mass, so it is cached
+    per (n, l, R).
     """
-    key = (n, l, cfg.R)
-    if key not in _norm_cache:
-        grid = build_grid(*_normalization_grid_orders(n), cfg)
-        p = _basis_polynomial_raw(n, l, 0)
-        vals = p(grid.q)
-        norm2 = float(np.real(integrate_values(np.abs(vals) ** 2, grid)))
-        _norm_cache[key] = 1.0 / math.sqrt(norm2)
-    return _norm_cache[key]
+    return _norm_constant(n, l, cfg.R)
+
+
+@lru_cache(maxsize=None)
+def _norm_constant(n: int, l: int, R: float) -> float:
+    grid = build_grid(*_normalization_grid_orders(n), SpaceConfig(R))
+    vals = _basis_polynomial_raw(n, l, 0)(grid.q)
+    norm2 = float(np.real(integrate_values(np.abs(vals) ** 2, grid)))
+    return 1.0 / math.sqrt(norm2)
 
 
 def closed_form_norm_constant(n: int, l: int, cfg: SpaceConfig) -> float:
@@ -208,29 +207,18 @@ def psi(label: SpectralLabel, cfg: SpaceConfig) -> WaveFunction:
 # ---------------------------------------------------------------------------
 # polynomial operator backends
 
-def _zr_poly(p: QPoly, axis: int, R: float) -> QPoly:
-    """Right-frame derivative Z[axis, k] d_k of a polynomial, exact.
+def _frame_poly(p: QPoly, axis: int, R: float, side: int) -> QPoly:
+    """Frame derivative Z[axis, k] d_k of a polynomial, exact.
 
-    In embedded form: (1/R) [ (q0 d_axis + eta_{k,axis,j} q_j d_k) - q_axis d_0 ].
+    In embedded form: (1/R) [ (q0 d_axis + side eta_{k,axis,j} q_j d_k)
+    - q_axis d_0 ], with side +1 for the right frame and -1 for the left.
     """
     out = QPoly.variable(0) * p.diff(axis + 1)
     for k in range(3):
         for j in range(3):
             s = LEVI_CIVITA[k, axis, j]
             if s:
-                out = out + (QPoly.variable(j + 1) * p.diff(k + 1)).scale(s)
-    out = out - QPoly.variable(axis + 1) * p.diff(0)
-    return out.scale(1.0 / R)
-
-
-def _zl_poly(p: QPoly, axis: int, R: float) -> QPoly:
-    """Left-frame derivative, the eta term flipped."""
-    out = QPoly.variable(0) * p.diff(axis + 1)
-    for k in range(3):
-        for j in range(3):
-            s = LEVI_CIVITA[k, axis, j]
-            if s:
-                out = out - (QPoly.variable(j + 1) * p.diff(k + 1)).scale(s)
+                out = out + (QPoly.variable(j + 1) * p.diff(k + 1)).scale(side * s)
     out = out - QPoly.variable(axis + 1) * p.diff(0)
     return out.scale(1.0 / R)
 
@@ -356,15 +344,31 @@ def _fd_frame_derivs(fn, q: np.ndarray, R: float) -> tuple[np.ndarray, np.ndarra
 _ROUTE_RHO = 0.15
 
 
+#: points per block of the finite-difference Laplacian, which bounds the
+#: stencil values held at once when fn returns many rows per point.
+_FD_BLOCK = 1024
+
+_D2_WEIGHT_AT = dict(zip(_D2_OFFSETS, _D2_WEIGHTS))
+
+
 def _fd_laplace_beltrami(fn, q: np.ndarray, R: float) -> np.ndarray:
-    """Chart-formula Laplacian by central differences at the points q."""
+    """Chart-formula Laplacian by central differences at the points q.
+
+    fn maps points (n, 4) to values (..., n); the result keeps those
+    leading axes, so one call differences a whole family of functions.
+    """
     q = np.atleast_2d(np.asarray(q, dtype=float))
+    return np.concatenate([_fd_laplace_block(fn, q[s:s + _FD_BLOCK], R)
+                           for s in range(0, q.shape[0], _FD_BLOCK)], axis=-1)
+
+
+def _fd_laplace_block(fn, q: np.ndarray, R: float) -> np.ndarray:
     npts = q.shape[0]
     eps = R * q[:, 1:]
     sign = np.where(q[:, 0] >= 0.0, 1.0, -1.0)
     h = _fd_steps(q, R, order=2)
     usable = (h > 1e-10 * R) & (np.abs(q[:, 0]) >= _ROUTE_RHO)
-    out = np.zeros(npts, dtype=complex)
+    parts = []
 
     if usable.any():
         e_u, s_u, h_u = eps[usable], sign[usable], h[usable]
@@ -375,25 +379,17 @@ def _fd_laplace_beltrami(fn, q: np.ndarray, R: float) -> np.ndarray:
         f0 = ev(np.zeros_like(e_u))
         d1 = []
         d2 = []
-        cache: dict = {}
-
-        def ev_axis(k: int, o: float) -> np.ndarray:
-            key = (k, o)
-            if key not in cache:
+        for k in range(3):
+            # each axis shift feeds both the first- and second-derivative sums
+            acc1 = 0.0
+            acc2 = -30.0 * f0
+            for o, w in zip(_D1_OFFSETS, _D1_WEIGHTS):
                 off = np.zeros_like(e_u)
                 off[:, k] = o * h_u
-                cache[key] = ev(off)
-            return cache[key]
-
-        for k in range(3):
-            acc1 = 0.0
-            for o, w in zip(_D1_OFFSETS, _D1_WEIGHTS):
-                acc1 = acc1 + w * ev_axis(k, o)
+                val = ev(off)
+                acc1 = acc1 + w * val
+                acc2 = acc2 + _D2_WEIGHT_AT[o] * val
             d1.append(acc1 / (12.0 * h_u))
-            acc2 = -30.0 * f0
-            for o, w in zip(_D2_OFFSETS, _D2_WEIGHTS):
-                if o != 0.0:
-                    acc2 = acc2 + w * ev_axis(k, o)
             d2.append(acc2 / (12.0 * h_u * h_u))
         mixed = {}
         for a in range(3):
@@ -417,7 +413,7 @@ def _fd_laplace_beltrami(fn, q: np.ndarray, R: float) -> np.ndarray:
             for b in range(a + 1, 3):
                 aab = -e_u[:, a] * e_u[:, b] / (R * R)
                 lap = lap + 2.0 * aab * mixed[(a, b)]
-        out[usable] = lap
+        parts.append((usable, lap))
 
     if (~usable).any():
         # Equator routing: the Laplacian commutes with left translations,
@@ -434,7 +430,7 @@ def _fd_laplace_beltrami(fn, q: np.ndarray, R: float) -> np.ndarray:
             return np.asarray(fn(quat_mul(p, qq)))
 
         base = moved(np.zeros(3))
-        acc = np.zeros(idx.size, dtype=complex)
+        acc = 0.0
         for k in range(3):
             acc2 = -30.0 * base
             for o, w in zip(_D2_OFFSETS, _D2_WEIGHTS):
@@ -443,7 +439,12 @@ def _fd_laplace_beltrami(fn, q: np.ndarray, R: float) -> np.ndarray:
                     off[k] = o * h0
                     acc2 = acc2 + w * moved(off)
             acc = acc + acc2 / (12.0 * h0 * h0)
-        out[idx] = acc
+        parts.append((~usable, acc))
+
+    lead = parts[0][1]
+    out = np.zeros(lead.shape[:-1] + (npts,), dtype=lead.dtype)
+    for mask, vals in parts:
+        out[..., mask] = vals
     return out
 
 
@@ -466,7 +467,7 @@ def apply_nu(axis: int, wf: WaveFunction, cfg: SpaceConfig,
     method = _resolve_method(wf, method)
     if method == "analytic":
         return WaveFunction.from_poly(
-            _zr_poly(wf.poly, axis, cfg.R).scale(-1j / cfg.m))
+            _frame_poly(wf.poly, axis, cfg.R, +1).scale(-1j / cfg.m))
     fn = wf.eval_q
     R, m = cfg.R, cfg.m
 
@@ -539,7 +540,7 @@ def left_action_operator(axis: int, wf: WaveFunction, cfg: SpaceConfig,
         raise DomainError("axis must be 0, 1 or 2")
     method = _resolve_method(wf, method)
     if method == "analytic":
-        return WaveFunction.from_poly(_zl_poly(wf.poly, axis, cfg.R))
+        return WaveFunction.from_poly(_frame_poly(wf.poly, axis, cfg.R, -1))
     fn = wf.eval_q
     R = cfg.R
 
@@ -628,8 +629,15 @@ def eigen_residual_table(n_max: int, grid: QuadGrid, cfg: SpaceConfig,
     finite-difference Laplace-Beltrami route for the energy residual
     (the rotation residuals stay analytic).
     """
+    labels = labels_up_to(n_max)
+    if backend != "analytic":
+        # The stencil is linear: difference the real monomial rows of all
+        # labels once, then apply the coefficients.
+        basis = MonomialBasis([psi(lb, cfg).poly for lb in labels])
+        lap = basis.coeffs @ _fd_laplace_beltrami(basis.rows, grid.q, cfg.R)
+        h_fd = (-0.5 / cfg.m) * lap
     rows = []
-    for lb in labels_up_to(n_max):
+    for i, lb in enumerate(labels):
         wf = psi(lb, cfg)
         vals = wf.eval_q(grid.q)
         norm2 = float(np.real(integrate_values(np.abs(vals) ** 2, grid)))
@@ -637,9 +645,7 @@ def eigen_residual_table(n_max: int, grid: QuadGrid, cfg: SpaceConfig,
         if backend == "analytic":
             hvals = apply_hamiltonian(wf, cfg, "via_nu", "analytic").eval_q(grid.q)
         else:
-            hvals = apply_hamiltonian(
-                WaveFunction(evaluator=wf.eval_q), cfg,
-                "laplace_beltrami", "fd").eval_q(grid.q)
+            hvals = h_fd[i]
         h_res = math.sqrt(float(np.real(integrate_values(
             np.abs(hvals - e_n * vals) ** 2, grid)))) / math.sqrt(norm2)
         j2vals = apply_J("squared", wf, cfg).eval_q(grid.q)
@@ -658,7 +664,12 @@ def eigen_residual_table(n_max: int, grid: QuadGrid, cfg: SpaceConfig,
 
 def hermiticity_check(pair_count: int, grid: QuadGrid, cfg: SpaceConfig,
                       seed: int = 0, n_max: int = 4) -> dict:
-    """Max |<a, Op b> - <Op a, b>| per operator over random basis pairs."""
+    """Max |<a, Op b> - <Op a, b>| per operator over random basis pairs.
+
+    Every inner product is read as conj(c_f) @ G @ c_g from one moment
+    matrix G of the monomials of the sampled basis functions and their
+    operator images on the grid.
+    """
     rng = np.random.default_rng(seed)
     labels = labels_up_to(n_max)
     ops = {
@@ -674,14 +685,29 @@ def hermiticity_check(pair_count: int, grid: QuadGrid, cfg: SpaceConfig,
         "J_3": lambda w: apply_J(2, w, cfg),
         "H": lambda w: apply_hamiltonian(w, cfg),
     }
-    worst = {name: 0.0 for name in ops}
-    for _ in range(pair_count):
-        la, lb_ = (labels[int(i)] for i in rng.integers(0, len(labels), size=2))
-        wa, wb = psi(la, cfg), psi(lb_, cfg)
+    pairs = [[labels[int(i)] for i in rng.integers(0, len(labels), size=2)]
+             for _ in range(pair_count)]
+    row = {}  # (label, operator name or None) -> row of the coefficient matrix
+    polys = []
+    for lb in dict.fromkeys(lb for pair in pairs for lb in pair):
+        wf = psi(lb, cfg)
+        row[lb, None] = len(polys)
+        polys.append(wf.poly)
         for name, op in ops.items():
-            lhs = inner_product(wa, op(wb), grid)
-            rhs = inner_product(op(wa), wb, grid)
-            worst[name] = max(worst[name], abs(lhs - rhs))
+            row[lb, name] = len(polys)
+            polys.append(op(wf).poly)
+    basis = MonomialBasis(polys)
+    coeffs = basis.coeffs
+    g_c = basis.moment_matrix(grid.q, grid.weight) @ coeffs.T
+
+    def inner(f: list, g: list) -> np.ndarray:
+        return np.sum(coeffs[f].conj() * g_c[:, g].T, axis=-1)
+
+    worst = {}
+    for name in ops:
+        lhs = inner([row[a, None] for a, _ in pairs], [row[b, name] for _, b in pairs])
+        rhs = inner([row[a, name] for a, _ in pairs], [row[b, None] for _, b in pairs])
+        worst[name] = float(np.max(np.abs(lhs - rhs), initial=0.0))
     worst["max"] = max(worst.values())
     return worst
 

@@ -16,7 +16,7 @@ from . import classical, quantum, sigma_group
 from .config import SpaceConfig
 from .errors import DomainError
 from .geometry import ChartCoords
-from .quadrature import build_grid, exact_volume, volume
+from .quadrature import QuadGrid, build_grid, exact_volume, volume
 from .reports import DEFAULT_TOLERANCES
 
 
@@ -39,6 +39,11 @@ class RunConfig:
 
     def space(self) -> SpaceConfig:
         return SpaceConfig(self.R, self.m)
+
+    def quantum_grid(self) -> QuadGrid:
+        """Grid of the quantum checks: the configured orders, at least (32, 16, 32)."""
+        return build_grid(max(self.grid[0], 32), max(self.grid[1], 16),
+                          max(self.grid[2], 32), self.space())
 
     def tol(self, name: str) -> float:
         return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
@@ -78,8 +83,7 @@ def check_volume(rc: RunConfig) -> CheckResult:
 def check_spectrum(rc: RunConfig, n_max: int = 5) -> CheckResult:
     """Criterion 2: energy and rotation eigenvalue residuals, both backends."""
     cfg = rc.space()
-    grid = build_grid(max(rc.grid[0], 32), max(rc.grid[1], 16),
-                      max(rc.grid[2], 32), cfg)
+    grid = rc.quantum_grid()
     rows = quantum.eigen_residual_table(n_max, grid, cfg, backend="analytic")
     worst_h = max(r["h_residual"] for r in rows)
     worst_j2 = max(r["j2_residual"] for r in rows)
@@ -103,8 +107,7 @@ def check_spectrum(rc: RunConfig, n_max: int = 5) -> CheckResult:
 def check_orthonormality(rc: RunConfig, n_max: int = 5) -> CheckResult:
     """Criterion 3: the Gram matrix of the basis equals the identity."""
     cfg = rc.space()
-    grid = build_grid(max(rc.grid[0], 32), max(rc.grid[1], 16),
-                      max(rc.grid[2], 32), cfg)
+    grid = rc.quantum_grid()
     labels, gram = quantum.gram_matrix(n_max, grid, cfg)
     dev = float(np.max(np.abs(gram - np.eye(len(labels)))))
     return CheckResult("orthonormality", dev < rc.tol("gram"), {
@@ -307,8 +310,7 @@ def check_contraction(rc: RunConfig, factors=(10.0, 100.0, 1000.0)) -> CheckResu
 def check_selfadjointness(rc: RunConfig, pairs: int = 50) -> CheckResult:
     """Criterion 11: hermiticity of every exposed observable."""
     cfg = rc.space()
-    grid = build_grid(max(rc.grid[0], 32), max(rc.grid[1], 16),
-                      max(rc.grid[2], 32), cfg)
+    grid = rc.quantum_grid()
     worst = quantum.hermiticity_check(pairs, grid, cfg, seed=rc.seed)
     ok = worst["max"] < rc.tol("hermiticity")
     worst["pairs"] = pairs

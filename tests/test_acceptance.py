@@ -41,7 +41,7 @@ def test_c01_volume():
 
 
 def test_c02_spectrum_residuals():
-    res = _run(2, suite.check_spectrum, budget_s=30.0)
+    res = _run(2, suite.check_spectrum, budget_s=5.0)
     assert res.details["max_h_residual_analytic"] < 1e-7
     assert res.details["max_h_residual_fd"] < 1e-4
     assert res.details["max_j2_residual"] < 1e-7
@@ -110,7 +110,7 @@ def test_c10_contraction():
 
 
 def test_c11_selfadjointness():
-    res = _run(11, suite.check_selfadjointness, pairs=50)
+    res = _run(11, suite.check_selfadjointness, budget_s=2.0, pairs=50)
     assert res.details["max"] < 1e-8
 
 

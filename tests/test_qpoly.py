@@ -1,6 +1,12 @@
-import numpy as np
+import math
+from itertools import product
 
-from s3sigma.qpoly import QPoly, eval_many
+import numpy as np
+import pytest
+
+from s3sigma import SpaceConfig
+from s3sigma.qpoly import MonomialBasis, QPoly, eval_many
+from s3sigma.quadrature import build_grid
 
 
 def test_constant_and_variable(rng):
@@ -55,3 +61,40 @@ def test_zero_coefficients_dropped():
     p = QPoly({(1, 0, 0, 0): 0.0, (0, 1, 0, 0): 2.0})
     assert (1, 0, 0, 0) not in p.terms
     assert len(p.terms) == 1
+
+
+def test_monomial_basis_rows_and_coefficients_evaluate_the_family(rng):
+    q = rng.normal(size=(7, 5, 4))
+    polys = [QPoly({(2, 0, 1, 0): 1.5 - 1j, (0, 0, 0, 0): 2.0}),
+             QPoly({(0, 3, 0, 0): -0.5j, (2, 0, 1, 0): 4.0})]
+    basis = MonomialBasis(polys)
+    assert basis.monos == [(0, 0, 0, 0), (0, 3, 0, 0), (2, 0, 1, 0)]
+    rows = basis.rows(q)
+    assert rows.shape == (3, 35) and rows.dtype == float
+    vals = (basis.coeffs @ rows).reshape(2, 7, 5)
+    for k, p in enumerate(polys):
+        np.testing.assert_allclose(vals[k], p(q), rtol=1e-14)
+    assert eval_many([QPoly(), QPoly()], q).shape == (2, 7, 5)
+
+
+def _sphere_moment(alpha, R):
+    """Folland's closed form for the integral of q^alpha over the radius-R 3-sphere."""
+    if any(a % 2 for a in alpha):
+        return 0.0
+    gammas = math.prod(math.gamma((a + 1) / 2) for a in alpha)
+    return R ** 3 * 2.0 * gammas / math.gamma((sum(alpha) + 4) / 2)
+
+
+@pytest.mark.parametrize("R", [1.0, 1.7])
+def test_moment_matrix_matches_closed_form_sphere_moments(R):
+    # every monomial of degree <= 10 is a product of two of degree <= 5
+    grid = build_grid(32, 16, 32, SpaceConfig(R))
+    monos = [e for e in product(range(6), repeat=4) if sum(e) <= 5]
+    basis = MonomialBasis([QPoly({e: 1.0}) for e in monos])
+    G = basis.moment_matrix(grid.q, grid.weight)
+    exact = np.array([[_sphere_moment(np.add(a, b), R) for b in basis.monos]
+                      for a in basis.monos])
+    nonzero = exact != 0.0
+    assert len(basis.monos) == 126
+    np.testing.assert_allclose(G[nonzero], exact[nonzero], rtol=1e-12)
+    assert np.max(np.abs(G[~nonzero])) < 1e-12 * R ** 3

@@ -7,11 +7,12 @@ from s3sigma import (DomainError, SpaceConfig, SpectralLabel, apply_hamiltonian,
                      apply_J, apply_nu, apply_position, contraction_study,
                      left_action_operator, psi, spectrum)
 from s3sigma.quadrature import build_grid, exact_volume, integrate_values
-from s3sigma.qpoly import eval_many
+from s3sigma.qpoly import MonomialBasis, eval_many
+from s3sigma import quantum
 from s3sigma.quantum import (SmoothBump, WaveFunction, basis_norm_constant,
                              closed_form_norm_constant,
                              energy, gram_matrix, hermiticity_check,
-                             labels_up_to, level_leakage,
+                             inner_product, labels_up_to, level_leakage,
                              measured_normalization_factor,
                              polarized_wavefunction, right_action_operator)
 from s3sigma import numdiff
@@ -283,6 +284,33 @@ def test_hermiticity(grid):
     assert worst["max"] < 1e-8
 
 
+def test_moment_matrix_inner_products_match_quadrature(grid):
+    wfs = []
+    for lb in (SpectralLabel(0, 0, 0), SpectralLabel(2, 1, -1),
+               SpectralLabel(3, 3, 2), SpectralLabel(4, 2, 0)):
+        wf = psi(lb, CFG)
+        wfs += [wf, apply_nu(0, wf, CFG), apply_position(2, wf, CFG),
+                apply_position("rho", wf, CFG), apply_J(1, wf, CFG),
+                apply_hamiltonian(wf, CFG)]
+    basis = MonomialBasis([w.poly for w in wfs])
+    G = basis.moment_matrix(grid.q, grid.weight)
+    via_g = basis.coeffs.conj() @ G @ basis.coeffs.T
+    direct = np.array([[inner_product(a, b, grid) for b in wfs] for a in wfs])
+    # relative to the largest inner product, <H psi, H psi> = E_4^2 = 144
+    np.testing.assert_allclose(via_g, direct, rtol=0.0,
+                               atol=1e-13 * np.max(np.abs(direct)))
+
+
+def test_norm_constant_cached_per_radius_only(monkeypatch):
+    first = basis_norm_constant(3, 1, SpaceConfig(1.1, 1.0))
+
+    def no_grid(*args):
+        raise AssertionError("a cache hit built a quadrature grid")
+
+    monkeypatch.setattr(quantum, "build_grid", no_grid)
+    assert basis_norm_constant(3, 1, SpaceConfig(1.1, 2.5)) == first
+
+
 # ---------------------------------------------------------------------------
 # finite-difference backend
 
@@ -319,6 +347,36 @@ def test_fd_routing_at_equator():
     h_an = apply_hamiltonian(wf, CFG).eval_q(qe)
     h_fd = apply_hamiltonian(blind, CFG, "laplace_beltrami", "fd").eval_q(qe)
     np.testing.assert_allclose(h_fd, h_an, atol=1e-6)
+
+
+def _equator_band_q(rng, count):
+    """Points with |rho| < 0.15 on both hemispheres: the routed branch."""
+    pts = rng.normal(size=(count, 3))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    q0 = rng.uniform(-0.15, 0.15, size=(count, 1))
+    return np.concatenate([q0, np.sqrt(1.0 - q0 ** 2) * pts], axis=1)
+
+
+def test_fd_laplacian_batched_over_functions_equals_single_calls(rng):
+    cfg = SpaceConfig(1.3, 0.7)
+    polys = [psi(lb, cfg).poly for lb in labels_up_to(5)[::9]]
+    # the whole sphere, across a block boundary: the stacked evaluator
+    # returns the single calls' values, so the results agree bit for bit
+    q = rng.normal(size=(quantum._FD_BLOCK + 100, 4))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    q = np.concatenate([q, _equator_band_q(rng, 50)])
+    singles = np.array([quantum._fd_laplace_beltrami(p, q, cfg.R) for p in polys])
+    stacked = quantum._fd_laplace_beltrami(
+        lambda x: np.stack([p(x) for p in polys]), q, cfg.R)
+    np.testing.assert_array_equal(stacked, singles)
+    # the monomial rows round differently; the chart step shrinks like
+    # |rho|^1.83 toward 0.15, so compare where it is wide and on the
+    # routed branch
+    q = np.concatenate([_random_interior_q(rng, 40), _equator_band_q(rng, 40)])
+    singles = np.array([quantum._fd_laplace_beltrami(p, q, cfg.R) for p in polys])
+    basis = MonomialBasis(polys)
+    via_rows = basis.coeffs @ quantum._fd_laplace_beltrami(basis.rows, q, cfg.R)
+    np.testing.assert_allclose(via_rows, singles, rtol=0.0, atol=1e-8)
 
 
 def test_analytic_method_requires_polynomial():
