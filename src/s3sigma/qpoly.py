@@ -25,7 +25,7 @@ class QPoly:
             for expo, coef in terms.items():
                 c = complex(coef)
                 if c != _DROP:
-                    self.terms[tuple(int(e) for e in expo)] = c
+                    self.terms[tuple(map(int, expo))] = c
 
     # -- constructors -------------------------------------------------------
 
@@ -142,10 +142,10 @@ class MonomialBasis:
     """The distinct monomials of a family of polynomials and its coefficients.
 
     `coeffs[r, k]` is the coefficient of monomial `monos[k]` in
-    polynomial r, so `coeffs @ rows(q)` evaluates the whole family.  Any
-    linear operation on values (a difference stencil, a quadrature sum)
-    can run on the real monomial rows once and meet the complex
-    coefficients at the end.
+    polynomial r, so `coeffs @ rows(q)` (`values(q)`) evaluates the whole
+    family.  Any linear operation on values (a difference stencil, a
+    quadrature sum) can run on the real monomial rows once and meet the
+    complex coefficients at the end.
     """
 
     __slots__ = ("monos", "coeffs", "max_degree")
@@ -161,13 +161,33 @@ class MonomialBasis:
 
     def rows(self, q: np.ndarray) -> np.ndarray:
         """Real monomial values at q (..., 4), shape (len(monos), points)."""
-        q = np.asarray(q, dtype=float)
+        q = np.asarray(q, dtype=float).reshape(-1, 4)
         pows = _power_table(q, self.max_degree)
-        npts = int(np.prod(q.shape[:-1])) if q.ndim > 1 else 1
-        M = np.empty((len(self.monos), npts))
-        for k, (a, b, c, d) in enumerate(self.monos):
-            M[k] = (pows[0][a] * pows[1][b] * pows[2][c] * pows[3][d]).reshape(-1)
+        M = np.empty((len(self.monos), q.shape[0]))
+        # The monomials are sorted, so those sharing the leading exponents
+        # are adjacent and reuse one partial product, formed left to right
+        # as q0^a q1^b q2^c q3^d would be.
+        prev = (-1, -1, -1, -1)
+        for k, e in enumerate(self.monos):
+            if e[:2] != prev[:2]:
+                ab = pows[0][e[0]] * pows[1][e[1]]
+            if e[:3] != prev[:3]:
+                abc = ab * pows[2][e[2]]
+            np.multiply(abc, pows[3][e[3]], out=M[k])
+            prev = e
         return M
+
+    def values(self, q: np.ndarray) -> np.ndarray:
+        """Values of the family at q (..., 4), shape (len(polys), points).
+
+        The real and imaginary coefficients each meet the real rows in
+        one real product, so the rows are never copied as complex.
+        """
+        M = self.rows(q)
+        out = np.empty((self.coeffs.shape[0], M.shape[1]), dtype=complex)
+        out.real = self.coeffs.real @ M
+        out.imag = self.coeffs.imag @ M
+        return out
 
     def moment_matrix(self, q: np.ndarray, weight: np.ndarray) -> np.ndarray:
         """G[j, k] = sum_n weight[n] m_j(q_n) m_k(q_n) over points q (N, 4).
@@ -186,6 +206,5 @@ def eval_many(polys: list[QPoly], q: np.ndarray) -> np.ndarray:
     monomial basis is evaluated once, which is what makes large Gram
     matrices cheap.
     """
-    basis = MonomialBasis(polys)
-    vals = basis.coeffs @ basis.rows(q)
+    vals = MonomialBasis(polys).values(q)
     return vals.reshape((len(polys),) + np.shape(q)[:-1])

@@ -131,8 +131,13 @@ def basis_norm_constant(n: int, l: int, cfg: SpaceConfig) -> float:
 
 
 @lru_cache(maxsize=None)
+def _normalization_grid(orders: tuple[int, int, int], R: float) -> QuadGrid:
+    return build_grid(*orders, SpaceConfig(R))
+
+
+@lru_cache(maxsize=None)
 def _norm_constant(n: int, l: int, R: float) -> float:
-    grid = build_grid(*_normalization_grid_orders(n), SpaceConfig(R))
+    grid = _normalization_grid(_normalization_grid_orders(n), R)
     vals = _basis_polynomial_raw(n, l, 0)(grid.q)
     norm2 = float(np.real(integrate_values(np.abs(vals) ** 2, grid)))
     return 1.0 / math.sqrt(norm2)
@@ -612,13 +617,28 @@ def inner_product(a: WaveFunction, b: WaveFunction, grid: QuadGrid) -> complex:
     return integrate_values(np.conj(va) * vb, grid)
 
 
+#: rows per block of the weighted Gram product, which bounds the
+#: weighted copy of the values held at once.
+_GRAM_BLOCK = 16
+
+
 def gram_matrix(n_max: int, grid: QuadGrid, cfg: SpaceConfig):
     """Labels and Gram matrix of the orthonormal basis through n_max."""
     labels = labels_up_to(n_max)
     polys = [psi(lb, cfg).poly for lb in labels]
     vals = eval_many(polys, grid.q)
-    weighted = vals.conj() * grid.weight
-    return labels, weighted @ vals.T
+    gram = np.empty((len(labels), len(labels)), dtype=complex)
+    for s in range(0, len(labels), _GRAM_BLOCK):
+        gram[s:s + _GRAM_BLOCK] = (vals[s:s + _GRAM_BLOCK].conj() * grid.weight) @ vals.T
+    return labels, gram
+
+
+@lru_cache(maxsize=None)
+def _eigen_images(label: SpectralLabel, cfg: SpaceConfig) -> tuple[QPoly, ...]:
+    """psi, J^2 psi, J_3 psi and H psi (via nu) of a basis function."""
+    wf = psi(label, cfg)
+    return (wf.poly, apply_J("squared", wf, cfg).poly, apply_J("third", wf, cfg).poly,
+            apply_hamiltonian(wf, cfg, "via_nu", "analytic").poly)
 
 
 def eigen_residual_table(n_max: int, grid: QuadGrid, cfg: SpaceConfig,
@@ -627,37 +647,34 @@ def eigen_residual_table(n_max: int, grid: QuadGrid, cfg: SpaceConfig,
 
     backend 'analytic' uses the polynomial operators; 'fd' runs the
     finite-difference Laplace-Beltrami route for the energy residual
-    (the rotation residuals stay analytic).
+    (the rotation residuals stay analytic).  Each label's psi and its
+    operator images are evaluated from their own monomial rows, and every
+    residual is a quadrature sum over those node values.
     """
     labels = labels_up_to(n_max)
+    q = grid.q
     if backend != "analytic":
         # The stencil is linear: difference the real monomial rows of all
         # labels once, then apply the coefficients.
         basis = MonomialBasis([psi(lb, cfg).poly for lb in labels])
-        lap = basis.coeffs @ _fd_laplace_beltrami(basis.rows, grid.q, cfg.R)
+        lap = basis.coeffs @ _fd_laplace_beltrami(basis.rows, q, cfg.R)
         h_fd = (-0.5 / cfg.m) * lap
     rows = []
     for i, lb in enumerate(labels):
-        wf = psi(lb, cfg)
-        vals = wf.eval_q(grid.q)
-        norm2 = float(np.real(integrate_values(np.abs(vals) ** 2, grid)))
+        images = _eigen_images(lb, cfg)
+        if backend != "analytic":
+            images = images[:3]  # H psi comes from the stencil pass
+        vals, j2vals, j3vals, *h = MonomialBasis(images).values(q)
         e_n = energy(lb.n, cfg)
-        if backend == "analytic":
-            hvals = apply_hamiltonian(wf, cfg, "via_nu", "analytic").eval_q(grid.q)
-        else:
-            hvals = h_fd[i]
-        h_res = math.sqrt(float(np.real(integrate_values(
-            np.abs(hvals - e_n * vals) ** 2, grid)))) / math.sqrt(norm2)
-        j2vals = apply_J("squared", wf, cfg).eval_q(grid.q)
-        j2_res = math.sqrt(float(np.real(integrate_values(
-            np.abs(j2vals - lb.l * (lb.l + 1.0) * vals) ** 2, grid)))) / math.sqrt(norm2)
-        j3vals = apply_J("third", wf, cfg).eval_q(grid.q)
-        j3_res = math.sqrt(float(np.real(integrate_values(
-            np.abs(j3vals - lb.m_z * vals) ** 2, grid)))) / math.sqrt(norm2)
+        diffs = np.stack([vals, (h[0] if h else h_fd[i]) - e_n * vals,
+                          j2vals - lb.l * (lb.l + 1.0) * vals, j3vals - lb.m_z * vals])
+        norm2, h2, j22, j32 = (diffs.real ** 2 + diffs.imag ** 2) @ grid.weight
         rows.append({
             "n": lb.n, "l": lb.l, "m_z": lb.m_z, "energy": e_n,
-            "norm_residual": abs(norm2 - 1.0),
-            "h_residual": h_res, "j2_residual": j2_res, "j3_residual": j3_res,
+            "norm_residual": abs(float(norm2) - 1.0),
+            "h_residual": math.sqrt(h2) / math.sqrt(norm2),
+            "j2_residual": math.sqrt(j22) / math.sqrt(norm2),
+            "j3_residual": math.sqrt(j32) / math.sqrt(norm2),
         })
     return rows
 

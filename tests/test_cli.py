@@ -37,10 +37,13 @@ def test_spectrum_labels_csv(tmp_path):
 
 
 def test_reports_are_byte_identical(tmp_path):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    assert main(["groupcheck", "--samples", "40", "--out", str(a)]) == 0
-    assert main(["groupcheck", "--samples", "40", "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+    for name, args in (("group", ["groupcheck", "--samples", "40"]),
+                       ("labels", ["spectrum", "--labels", "--n-max", "4",
+                                   "--format", "json"])):
+        a, b = tmp_path / f"{name}-a.json", tmp_path / f"{name}-b.json"
+        assert main([*args, "--out", str(a)]) == 0
+        assert main([*args, "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes(), name
 
 
 def test_seed_changes_report(tmp_path):

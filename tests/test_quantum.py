@@ -311,6 +311,76 @@ def test_norm_constant_cached_per_radius_only(monkeypatch):
     assert basis_norm_constant(3, 1, SpaceConfig(1.1, 2.5)) == first
 
 
+def _reference_residual_table(n_max, grid, cfg, backend):
+    """One QPoly call and one quadrature sum per residual and label."""
+    labels = labels_up_to(n_max)
+    if backend == "fd":
+        basis = MonomialBasis([psi(lb, cfg).poly for lb in labels])
+        h_fd = (-0.5 / cfg.m) * (
+            basis.coeffs @ quantum._fd_laplace_beltrami(basis.rows, grid.q, cfg.R))
+    rows = []
+    for i, lb in enumerate(labels):
+        wf = psi(lb, cfg)
+        vals = wf.poly(grid.q)
+        norm2 = float(np.real(integrate_values(np.abs(vals) ** 2, grid)))
+
+        def residual(image_vals, eigenvalue):
+            return math.sqrt(float(np.real(integrate_values(
+                np.abs(image_vals - eigenvalue * vals) ** 2, grid)))) / math.sqrt(norm2)
+
+        if backend == "fd":
+            hvals = h_fd[i]
+        else:
+            hvals = apply_hamiltonian(wf, cfg, "via_nu", "analytic").poly(grid.q)
+        rows.append({
+            "n": lb.n, "l": lb.l, "m_z": lb.m_z, "energy": energy(lb.n, cfg),
+            "norm_residual": abs(norm2 - 1.0),
+            "h_residual": residual(hvals, energy(lb.n, cfg)),
+            "j2_residual": residual(apply_J("squared", wf, cfg).poly(grid.q),
+                                    lb.l * (lb.l + 1.0)),
+            "j3_residual": residual(apply_J("third", wf, cfg).poly(grid.q), lb.m_z),
+        })
+    return rows
+
+
+@pytest.mark.parametrize("backend,orders", [("analytic", (32, 16, 32)),
+                                            ("fd", (16, 12, 16))], ids=["analytic", "fd"])
+def test_residual_table_matches_per_label_reference(backend, orders):
+    cfg = SpaceConfig(1.3, 0.7)
+    grid = build_grid(*orders, cfg)
+    table = quantum.eigen_residual_table(4, grid, cfg, backend=backend)
+    ref = _reference_residual_table(4, grid, cfg, backend)
+    assert len(table) == len(ref) == 55
+    for row, want in zip(table, ref):
+        assert {k: row[k] for k in ("n", "l", "m_z", "energy")} == \
+            {k: want[k] for k in ("n", "l", "m_z", "energy")}
+        for key in ("norm_residual", "j2_residual", "j3_residual"):
+            assert abs(row[key] - want[key]) < 1e-12, (row, key)
+        if backend == "fd":
+            assert row["h_residual"] == pytest.approx(want["h_residual"], rel=1e-6, abs=0.0)
+        else:
+            assert abs(row["h_residual"] - want["h_residual"]) < 1e-12, row
+
+
+def test_residual_table_memory_is_per_label():
+    # One label's monomial rows are at most a few MB on the 16,384-node
+    # grid; the 210 monomials of every label with n <= 6 would hold 27.5
+    # MB of real rows before any complex product.
+    import tracemalloc
+
+    cfg = SpaceConfig(1.0, 1.0)
+    grid = build_grid(32, 16, 32, cfg)
+    quantum.eigen_residual_table(6, grid, cfg)  # fill the grid, image and norm caches
+    tracemalloc.start()
+    try:
+        rows = quantum.eigen_residual_table(6, grid, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 140
+    assert peak < 20e6, f"peak traced memory {peak / 1e6:.1f} MB"
+
+
 # ---------------------------------------------------------------------------
 # finite-difference backend
 
