@@ -237,16 +237,10 @@ def geodesic_equation_residual(init: PhaseState, times, cfg: SpaceConfig,
     worst = 0.0
     for t in np.atleast_1d(times):
         e, v, a = closed_form_chart(init, float(t), omega)
-        point = ChartCoords(e, +1 if rho_of(e, cfg) >= 0 else -1)
-        gamma = christoffel(ChartCoords(e, point.rho_sign), cfg)
+        gamma = christoffel(ChartCoords(e, +1), cfg)
         res = a + np.einsum("jkl,k,l->j", gamma, v, v)
         worst = max(worst, float(np.max(np.abs(res))))
     return worst
-
-
-def rho_of(eps: np.ndarray, cfg: SpaceConfig) -> float:
-    """Unsigned chart height for raw eps arrays (sign handled by caller)."""
-    return math.sqrt(max(0.0, 1.0 - float(np.dot(eps, eps)) / (cfg.R * cfg.R)))
 
 
 def geodesic_integrate(init: PhaseState, t_end: float, steps: int,
@@ -497,7 +491,7 @@ def verify_basic_algebra(sample_count: int, cfg: SpaceConfig, seed: int = 0,
     brackets = np.array([_bracket_matrix(sp, cfg) for sp in pts]).reshape(-1, 7, 7)
     e0 = np.array([sp.eps0 for sp in pts]).reshape(-1, 3)
     th0 = np.array([sp.theta0 for sp in pts]).reshape(-1, 3)
-    r0 = np.array([rho_of(sp.eps0, cfg) * sp.rho_sign for sp in pts])
+    r0 = np.array([rho(ChartCoords(sp.eps0, sp.rho_sign), cfg) for sp in pts])
 
     eps_theta = (np.einsum("ijk,nk->nij", LEVI_CIVITA, e0) / cfg.R
                  + r0[:, None, None] * np.eye(3))

@@ -39,6 +39,16 @@ def _parse_grid(text: str) -> tuple[int, int, int]:
     return tuple(int(p) for p in parts)
 
 
+def _count(low: int):
+    """Integer flag type that rejects values below low (a usage error)."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return count
+
+
 def _parse_tol(text: str) -> tuple[str, float]:
     if "=" not in text:
         raise argparse.ArgumentTypeError("tolerance overrides look like name=value")
@@ -65,7 +75,11 @@ def _read_config_file(path: str) -> dict:
                 values[key] = int(val)
             elif key == "grid":
                 values[key] = _parse_grid(val)
-            elif key in ("format", "out"):
+            elif key == "format":
+                if val not in ("csv", "json"):
+                    raise DomainError(f"config format must be csv or json, got {val!r}")
+                values[key] = val
+            elif key == "out":
                 values[key] = val
             else:
                 raise DomainError(f"unknown config key {key!r}")
@@ -110,10 +124,6 @@ def _run_config(args) -> suite.RunConfig:
     )
 
 
-def _pick_format(args, default="json") -> str:
-    return args.format or default
-
-
 def _emit(args, payload: dict, exit_code: int) -> int:
     text = to_json(payload) + "\n"
     if args.out:
@@ -121,6 +131,11 @@ def _emit(args, payload: dict, exit_code: int) -> int:
     else:
         sys.stdout.write(text)
     return exit_code
+
+
+def _emit_check(args, rc: suite.RunConfig, result: suite.CheckResult) -> int:
+    payload = {"suite": SUITE_VERSION, "config": rc.as_dict(), "check": result.as_dict()}
+    return _emit(args, payload, EXIT_OK if result.passed else EXIT_RESIDUAL)
 
 
 # ---------------------------------------------------------------------------
@@ -132,27 +147,17 @@ def cmd_geodesic(args) -> int:
     init = classical.PhaseState(
         ChartCoords(np.asarray(args.eps0), +1), np.asarray(args.vel0))
     traj = classical.geodesic_integrate(init, args.t_end, args.steps, cfg)
-    final_exact = classical.geodesic_exact(init, args.t_end, cfg)
-    final = traj.states[-1]
-    h0 = traj.energy[0]
-    denom = abs(h0) if h0 != 0.0 else 1.0
+    h_drift, th_drift, endpoint, ok = suite.geodesic_deviations(rc, init, traj, args.t_end)
     summary = {
         "suite": SUITE_VERSION,
         "config": rc.as_dict(),
         "t_end": args.t_end,
         "steps": args.steps,
-        "max_h_drift": float(np.max(np.abs(traj.energy - h0))) / denom,
-        "max_theta_drift": max(
-            float(np.max(np.abs(traj.theta_right - traj.theta_right[0]))),
-            float(np.max(np.abs(traj.theta_left - traj.theta_left[0])))),
-        "endpoint_deviation": max(
-            float(np.max(np.abs(final_exact.point.eps - final.point.eps))) / cfg.R,
-            float(np.max(np.abs(final_exact.vel - final.vel)))),
+        "max_h_drift": h_drift,
+        "max_theta_drift": th_drift,
+        "endpoint_deviation": endpoint,
         "warnings": traj.warnings,
     }
-    ok = (summary["max_h_drift"] < rc.tol("h_drift")
-          and summary["max_theta_drift"] < rc.tol("theta_drift")
-          and summary["endpoint_deviation"] < rc.tol("endpoint"))
     if args.out:
         rows = []
         for i, st in enumerate(traj.states):
@@ -165,16 +170,14 @@ def cmd_geodesic(args) -> int:
                    "thetaR1", "thetaR2", "thetaR3",
                    "thetaL1", "thetaL2", "thetaL3"], rows)
         write_json(args.out + ".json", summary)
-        return EXIT_OK if ok else EXIT_RESIDUAL
-    sys.stdout.write(to_json(summary) + "\n")
+    else:
+        sys.stdout.write(to_json(summary) + "\n")
     return EXIT_OK if ok else EXIT_RESIDUAL
 
 
 def cmd_groupcheck(args) -> int:
     rc = _run_config(args)
     cfg = rc.space()
-    if args.samples < 1:
-        raise DomainError("--samples must be at least 1")
     rng = np.random.default_rng([rc.seed, 4])
     axioms = sigma_group.group_axiom_residuals(rng, cfg, args.samples)
     probe = sigma_group.sample_elements(np.random.default_rng([rc.seed, 5]), cfg, 1)[0]
@@ -202,21 +205,16 @@ def cmd_spectrum(args) -> int:
     rc = _run_config(args)
     cfg = rc.space()
     if args.labels:
-        grid = rc.quantum_grid()
-        rows = quantum.eigen_residual_table(args.n_max, grid, cfg)
-        if args.out and _pick_format(args, default="csv") == "csv":
-            write_csv(args.out, ["n", "l", "m_z", "E", "norm_residual",
-                                 "H_residual", "J2_residual", "J3_residual"],
-                      [[r["n"], r["l"], r["m_z"], r["energy"], r["norm_residual"],
-                        r["h_residual"], r["j2_residual"], r["j3_residual"]]
-                       for r in rows])
-            return EXIT_OK
-        payload = {"suite": SUITE_VERSION, "config": rc.as_dict(), "rows": rows}
-        return _emit(args, payload, EXIT_OK)
-    rows = quantum.spectrum(args.n_max, cfg)
-    if args.out and _pick_format(args, default="csv") == "csv":
-        write_csv(args.out, ["n", "E", "degeneracy"],
-                  [[r["n"], r["energy"], r["degeneracy"]] for r in rows])
+        rows = quantum.eigen_residual_table(args.n_max, rc.quantum_grid(), cfg)
+        header = ["n", "l", "m_z", "E", "norm_residual", "H_residual", "J2_residual",
+                  "J3_residual"]
+        keys = ["n", "l", "m_z", "energy", "norm_residual", "h_residual", "j2_residual",
+                "j3_residual"]
+    else:
+        rows = quantum.spectrum(args.n_max, cfg)
+        header, keys = ["n", "E", "degeneracy"], ["n", "energy", "degeneracy"]
+    if args.out and (args.format or "csv") == "csv":
+        write_csv(args.out, header, [[r[k] for k in keys] for r in rows])
         return EXIT_OK
     payload = {"suite": SUITE_VERSION, "config": rc.as_dict(), "rows": rows}
     return _emit(args, payload, EXIT_OK)
@@ -224,10 +222,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_orthonormality(args) -> int:
     rc = _run_config(args)
-    result = suite.check_orthonormality(rc, args.n_max)
-    payload = {"suite": SUITE_VERSION, "config": rc.as_dict(),
-               "check": result.as_dict()}
-    return _emit(args, payload, EXIT_OK if result.passed else EXIT_RESIDUAL)
+    return _emit_check(args, rc, suite.check_orthonormality(rc, args.n_max))
 
 
 def cmd_wavefn(args) -> int:
@@ -249,19 +244,13 @@ def cmd_wavefn(args) -> int:
 def cmd_contract(args) -> int:
     rc = _run_config(args)
     factors = [float(v) for v in args.radii.split(",")]
-    result = suite.check_contraction(rc, tuple(factors))
-    payload = {"suite": SUITE_VERSION, "config": rc.as_dict(),
-               "check": result.as_dict()}
-    return _emit(args, payload, EXIT_OK if result.passed else EXIT_RESIDUAL)
+    return _emit_check(args, rc, suite.check_contraction(rc, tuple(factors)))
 
 
 def cmd_poisson(args) -> int:
     rc = _run_config(args)
-    result = suite.check_poisson(rc, samples=args.samples,
-                                 jacobi_points=args.jacobi_points)
-    payload = {"suite": SUITE_VERSION, "config": rc.as_dict(),
-               "check": result.as_dict()}
-    return _emit(args, payload, EXIT_OK if result.passed else EXIT_RESIDUAL)
+    return _emit_check(args, rc, suite.check_poisson(rc, samples=args.samples,
+                                                     jacobi_points=args.jacobi_points))
 
 
 def cmd_all(args) -> int:
@@ -308,19 +297,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("groupcheck", help="group axioms and bracket table")
     _common_flags(p)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=_count(1), default=1000)
     p.set_defaults(fn=cmd_groupcheck)
 
     p = sub.add_parser("spectrum", help="energy table or per-label residuals")
     _common_flags(p)
-    p.add_argument("--n-max", type=int, default=5)
+    p.add_argument("--n-max", type=_count(0), default=5)
     p.add_argument("--labels", action="store_true",
                    help="emit per-label residual rows instead of the level table")
     p.set_defaults(fn=cmd_spectrum)
 
     p = sub.add_parser("orthonormality", help="Gram matrix of the basis")
     _common_flags(p)
-    p.add_argument("--n-max", type=int, default=5)
+    p.add_argument("--n-max", type=_count(0), default=5)
     p.set_defaults(fn=cmd_orthonormality)
 
     p = sub.add_parser("wavefn", help="sample one basis function over the grid")
@@ -336,8 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("poisson", help="bracket families and Jacobi identity")
     _common_flags(p)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--jacobi-points", type=int, default=10)
+    p.add_argument("--samples", type=_count(1), default=100)
+    p.add_argument("--jacobi-points", type=_count(0), default=10)
     p.set_defaults(fn=cmd_poisson)
 
     p = sub.add_parser("all", help="run the full verification suite")

@@ -26,10 +26,10 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import numdiff
 from .config import SpaceConfig
 from .errors import DomainError
 from .geometry import LEVI_CIVITA, quat_mul, rho
-from .numdiff import _D1_OFFSETS, _D1_WEIGHTS, _D2_OFFSETS, _D2_WEIGHTS
 from .qpoly import MonomialBasis, QPoly, eval_many
 from .quadrature import QuadGrid, build_grid, integrate_values
 from .specfun import gegenbauer_series_coefficients
@@ -284,6 +284,12 @@ def _fd_steps(q: np.ndarray, R: float, order: int) -> np.ndarray:
     return np.minimum(h, (R - eps_norm) / 3.0)
 
 
+def _on_points(fn, q: np.ndarray) -> np.ndarray:
+    """fn at points q (..., 4), called on them as one (K, 4) array; values (..., *q.shape[:-1])."""
+    vals = np.asarray(fn(q.reshape(-1, 4)))
+    return vals.reshape(vals.shape[:-1] + q.shape[:-1])
+
+
 def _fd_frame_derivs(fn, q: np.ndarray, R: float) -> tuple[np.ndarray, np.ndarray]:
     """Right- and left-frame derivatives (each (3, N)) of fn at the points q.
 
@@ -304,40 +310,30 @@ def _fd_frame_derivs(fn, q: np.ndarray, R: float) -> tuple[np.ndarray, np.ndarra
     if usable.any():
         e_u, s_u, h_u = eps[usable], sign[usable], h[usable]
         q_u = q[usable]
-        derivs = []
+        derivs = numdiff.stencil_gradient(
+            lambda e: _on_points(fn, _q_of_eps(e, s_u[:, None, None], R))[..., None],
+            e_u, h_u[:, None])[:, 0, :].T
+        # Z[i, k] d_k = q0 d_i +- eta[k, i] d_k, with eta[k, i] = eps_kij q_j exact
+        eta = np.einsum("kij,nj->kin", LEVI_CIVITA, q_u[:, 1:])
+        acc_r = acc_l = q_u[:, 0] * derivs
         for k in range(3):
-            acc = 0.0
-            for o, w in zip(_D1_OFFSETS, _D1_WEIGHTS):
-                shifted = e_u.copy()
-                shifted[:, k] += o * h_u
-                acc = acc + w * np.asarray(fn(_q_of_eps(shifted, s_u, R)))
-            derivs.append(acc / (12.0 * h_u))
-        for i in range(3):
-            acc_r = q_u[:, 0] * derivs[i]
-            acc_l = q_u[:, 0] * derivs[i]
-            for k in range(3):
-                eta = LEVI_CIVITA[k, i] @ (q_u[:, 1:].T)
-                acc_r = acc_r + eta * derivs[k]
-                acc_l = acc_l - eta * derivs[k]
-            fr[i, usable] = acc_r
-            fl[i, usable] = acc_l
+            acc_r = acc_r + eta[k] * derivs[k]
+            acc_l = acc_l - eta[k] * derivs[k]
+        fr[:, usable] = acc_r
+        fl[:, usable] = acc_l
 
     if (~usable).any():
-        idx = np.flatnonzero(~usable)
-        h0 = _H1_REL * R
-        for i in range(3):
-            acc_r = np.zeros(idx.size, dtype=complex)
-            acc_l = np.zeros(idx.size, dtype=complex)
-            for o, w in zip(_D1_OFFSETS, _D1_WEIGHTS):
-                s = o * h0
-                delta = np.zeros(4)
-                delta[0] = math.sqrt(max(0.0, 1.0 - (s / R) ** 2))
-                delta[1 + i] = s / R
-                dd = np.broadcast_to(delta, (idx.size, 4))
-                acc_r = acc_r + w * np.asarray(fn(quat_mul(dd, q[idx])))
-                acc_l = acc_l + w * np.asarray(fn(quat_mul(q[idx], dd)))
-            fr[i, idx] = acc_r / (12.0 * h0)
-            fl[i, idx] = acc_l / (12.0 * h0)
+        # d/ds of f(exp(s e_i) q) and f(q exp(s e_i)) at s = 0
+        p = q[~usable][:, None, None, :]
+
+        def flows(s: np.ndarray) -> np.ndarray:
+            d = _q_of_eps(s, 1.0, R)
+            return np.stack([_on_points(fn, quat_mul(d, p)),
+                             _on_points(fn, quat_mul(p, d))], axis=-1)
+
+        jac = numdiff.stencil_gradient(flows, np.zeros((p.shape[0], 3)), _H1_REL * R)
+        fr[:, ~usable] = jac[:, 0, :].T
+        fl[:, ~usable] = jac[:, 1, :].T
     return fr, fl
 
 
@@ -351,9 +347,7 @@ _ROUTE_RHO = 0.15
 
 #: points per block of the finite-difference Laplacian, which bounds the
 #: stencil values held at once when fn returns many rows per point.
-_FD_BLOCK = 1024
-
-_D2_WEIGHT_AT = dict(zip(_D2_OFFSETS, _D2_WEIGHTS))
+_FD_BLOCK = 128
 
 
 def _fd_laplace_beltrami(fn, q: np.ndarray, R: float) -> np.ndarray:
@@ -368,89 +362,31 @@ def _fd_laplace_beltrami(fn, q: np.ndarray, R: float) -> np.ndarray:
 
 
 def _fd_laplace_block(fn, q: np.ndarray, R: float) -> np.ndarray:
-    npts = q.shape[0]
-    eps = R * q[:, 1:]
-    sign = np.where(q[:, 0] >= 0.0, 1.0, -1.0)
     h = _fd_steps(q, R, order=2)
     usable = (h > 1e-10 * R) & (np.abs(q[:, 0]) >= _ROUTE_RHO)
-    parts = []
+    # Equator routing: the Laplacian commutes with left translations, so a
+    # routed point p is differenced at the chart origin of f(p .), where
+    # the chart formula below is the trace of the flat Hessian.
+    e = np.where(usable[:, None], R * q[:, 1:], 0.0)
+    sign = np.where(usable & (q[:, 0] < 0.0), -1.0, 1.0)
 
-    if usable.any():
-        e_u, s_u, h_u = eps[usable], sign[usable], h[usable]
+    def at(x: np.ndarray) -> np.ndarray:
+        qq = _q_of_eps(x, sign, R)
+        qq[:, ~usable] = quat_mul(q[~usable], qq[:, ~usable])
+        return _on_points(fn, qq)
 
-        def ev(offsets: np.ndarray) -> np.ndarray:
-            return np.asarray(fn(_q_of_eps(e_u + offsets, s_u, R)))
-
-        f0 = ev(np.zeros_like(e_u))
-        d1 = []
-        d2 = []
-        for k in range(3):
-            # each axis shift feeds both the first- and second-derivative sums
-            acc1 = 0.0
-            acc2 = -30.0 * f0
-            for o, w in zip(_D1_OFFSETS, _D1_WEIGHTS):
-                off = np.zeros_like(e_u)
-                off[:, k] = o * h_u
-                val = ev(off)
-                acc1 = acc1 + w * val
-                acc2 = acc2 + _D2_WEIGHT_AT[o] * val
-            d1.append(acc1 / (12.0 * h_u))
-            d2.append(acc2 / (12.0 * h_u * h_u))
-        mixed = {}
-        for a in range(3):
-            for b in range(a + 1, 3):
-                acc = 0.0
-                for oa, wa in zip(_D1_OFFSETS, _D1_WEIGHTS):
-                    for ob, wb in zip(_D1_OFFSETS, _D1_WEIGHTS):
-                        off = np.zeros_like(e_u)
-                        off[:, a] = oa * h_u
-                        off[:, b] = ob * h_u
-                        acc = acc + wa * wb * ev(off)
-                mixed[(a, b)] = acc / (144.0 * h_u * h_u)
-
-        lap = 0.0
-        for k in range(3):
-            lap = lap - (3.0 / (R * R)) * e_u[:, k] * d1[k]
-        for k in range(3):
-            akk = 1.0 - e_u[:, k] * e_u[:, k] / (R * R)
-            lap = lap + akk * d2[k]
-        for a in range(3):
-            for b in range(a + 1, 3):
-                aab = -e_u[:, a] * e_u[:, b] / (R * R)
-                lap = lap + 2.0 * aab * mixed[(a, b)]
-        parts.append((usable, lap))
-
-    if (~usable).any():
-        # Equator routing: the Laplacian commutes with left translations,
-        # so evaluate it at the chart origin of the translated functions.
-        # At the origin the displayed operator is the flat second
-        # derivative sum, so only the diagonal stencils are needed.
-        idx = np.flatnonzero(~usable)
-        p = q[idx]
-        h0 = _H2_REL * R
-
-        def moved(offset: np.ndarray) -> np.ndarray:
-            qq = _q_of_eps(np.broadcast_to(offset, (idx.size, 3)),
-                           np.ones(idx.size), R)
-            return np.asarray(fn(quat_mul(p, qq)))
-
-        base = moved(np.zeros(3))
-        acc = 0.0
-        for k in range(3):
-            acc2 = -30.0 * base
-            for o, w in zip(_D2_OFFSETS, _D2_WEIGHTS):
-                if o != 0.0:
-                    off = np.zeros(3)
-                    off[k] = o * h0
-                    acc2 = acc2 + w * moved(off)
-            acc = acc + acc2 / (12.0 * h0 * h0)
-        parts.append((~usable, acc))
-
-    lead = parts[0][1]
-    out = np.zeros(lead.shape[:-1] + (npts,), dtype=lead.dtype)
-    for mask, vals in parts:
-        out[..., mask] = vals
-    return out
+    d1, d2 = numdiff.stencil_hessian(at, e, np.where(usable, h, _H2_REL * R))
+    lap = 0.0
+    for k in range(3):
+        lap = lap - (3.0 / (R * R)) * e[:, k] * d1[..., k, :]
+    for k in range(3):
+        akk = 1.0 - e[:, k] * e[:, k] / (R * R)
+        lap = lap + akk * d2[..., k, k, :]
+    for a in range(3):
+        for b in range(a + 1, 3):
+            aab = -e[:, a] * e[:, b] / (R * R)
+            lap = lap + 2.0 * aab * d2[..., a, b, :]
+    return lap
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +400,17 @@ def _resolve_method(wf: WaveFunction, method: str) -> str:
     return method
 
 
+def _fd_operator(wf: WaveFunction, image) -> WaveFunction:
+    """Finite-difference operator image: image(wf.eval_q, q) at points q, in q's shape."""
+    fn = wf.eval_q
+
+    def op(q: np.ndarray) -> np.ndarray:
+        q = np.asarray(q)
+        return image(fn, q).reshape(q.shape[:-1])
+
+    return WaveFunction(evaluator=op)
+
+
 def apply_nu(axis: int, wf: WaveFunction, cfg: SpaceConfig,
              method: str = "auto") -> WaveFunction:
     """Velocity operator nu_axis = -(i/m) Z[axis, k] d_k."""
@@ -473,15 +420,7 @@ def apply_nu(axis: int, wf: WaveFunction, cfg: SpaceConfig,
     if method == "analytic":
         return WaveFunction.from_poly(
             _frame_poly(wf.poly, axis, cfg.R, +1).scale(-1j / cfg.m))
-    fn = wf.eval_q
-    R, m = cfg.R, cfg.m
-
-    def op(q: np.ndarray) -> np.ndarray:
-        fr, _ = _fd_frame_derivs(fn, q, R)
-        out = (-1j / m) * fr[axis]
-        return out.reshape(np.asarray(q).shape[:-1])
-
-    return WaveFunction(evaluator=op)
+    return _fd_operator(wf, lambda fn, q: (-1j / cfg.m) * _fd_frame_derivs(fn, q, cfg.R)[0][axis])
 
 
 def apply_position(which, wf: WaveFunction, cfg: SpaceConfig) -> WaveFunction:
@@ -524,18 +463,13 @@ def apply_J(which, wf: WaveFunction, cfg: SpaceConfig, hermitian: bool = True,
     if method == "analytic":
         p = _j_raw_poly(wf.poly, which)
         return WaveFunction.from_poly(p.scale(-1j) if hermitian else p)
-    fn = wf.eval_q
-    R = cfg.R
 
-    def op(q: np.ndarray) -> np.ndarray:
+    def raw(fn, q: np.ndarray) -> np.ndarray:
         # J_raw = (R/2) (right frame - left frame), regular everywhere.
-        fr, fl = _fd_frame_derivs(fn, q, R)
-        acc = 0.5 * R * (fr[which] - fl[which])
-        if hermitian:
-            acc = -1j * acc
-        return acc.reshape(np.asarray(q).shape[:-1])
+        fr, fl = _fd_frame_derivs(fn, q, cfg.R)
+        return 0.5 * cfg.R * (fr[which] - fl[which])
 
-    return WaveFunction(evaluator=op)
+    return _fd_operator(wf, (lambda fn, q: -1j * raw(fn, q)) if hermitian else raw)
 
 
 def left_action_operator(axis: int, wf: WaveFunction, cfg: SpaceConfig,
@@ -546,14 +480,7 @@ def left_action_operator(axis: int, wf: WaveFunction, cfg: SpaceConfig,
     method = _resolve_method(wf, method)
     if method == "analytic":
         return WaveFunction.from_poly(_frame_poly(wf.poly, axis, cfg.R, -1))
-    fn = wf.eval_q
-    R = cfg.R
-
-    def op(q: np.ndarray) -> np.ndarray:
-        _, fl = _fd_frame_derivs(fn, q, R)
-        return fl[axis].reshape(np.asarray(q).shape[:-1])
-
-    return WaveFunction(evaluator=op)
+    return _fd_operator(wf, lambda fn, q: _fd_frame_derivs(fn, q, cfg.R)[1][axis])
 
 
 def right_action_operator(axis: int, wf: WaveFunction, cfg: SpaceConfig,
@@ -584,14 +511,7 @@ def apply_hamiltonian(wf: WaveFunction, cfg: SpaceConfig,
     if method == "analytic":
         p = _laplace_beltrami_poly(wf.poly, cfg.R)
         return WaveFunction.from_poly(p.scale(-0.5 / cfg.m))
-    fn = wf.eval_q
-    R, m = cfg.R, cfg.m
-
-    def op(q: np.ndarray) -> np.ndarray:
-        lap = _fd_laplace_beltrami(fn, q, R)
-        return (-0.5 / m) * lap.reshape(np.asarray(q).shape[:-1])
-
-    return WaveFunction(evaluator=op)
+    return _fd_operator(wf, lambda fn, q: (-0.5 / cfg.m) * _fd_laplace_beltrami(fn, q, cfg.R))
 
 
 def _wf_add(a: WaveFunction, b: WaveFunction) -> WaveFunction:

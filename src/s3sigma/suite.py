@@ -15,7 +15,7 @@ import numpy as np
 from . import classical, quantum, sigma_group
 from .config import SpaceConfig
 from .errors import DomainError
-from .geometry import ChartCoords
+from .geometry import ChartCoords, rho
 from .quadrature import QuadGrid, build_grid, exact_volume, volume
 from .reports import DEFAULT_TOLERANCES
 
@@ -171,6 +171,27 @@ def check_poisson(rc: RunConfig, samples: int = 100,
     return CheckResult("poisson_algebra", ok, report)
 
 
+def geodesic_deviations(rc: RunConfig, init: classical.PhaseState,
+                        traj: classical.Trajectory, t_end: float):
+    """Energy drift over |H(0)| (absolute when H(0) = 0), the largest drift of
+    either invariant triple, the last state's deviation from the closed form
+    at t_end (positions over R), and whether all three are within tolerance."""
+    cfg = rc.space()
+    h0 = traj.energy[0]
+    h_drift = float(np.max(np.abs(traj.energy - h0))) / (abs(h0) if h0 != 0.0 else 1.0)
+    th_drift = max(
+        float(np.max(np.abs(traj.theta_right - traj.theta_right[0]))),
+        float(np.max(np.abs(traj.theta_left - traj.theta_left[0]))))
+    final_exact = classical.geodesic_exact(init, t_end, cfg)
+    final = traj.states[-1]
+    endpoint = max(
+        float(np.max(np.abs(final_exact.point.eps - final.point.eps))) / cfg.R,
+        float(np.max(np.abs(final_exact.vel - final.vel))))
+    ok = (h_drift < rc.tol("h_drift") and th_drift < rc.tol("theta_drift")
+          and endpoint < rc.tol("endpoint"))
+    return h_drift, th_drift, endpoint, ok
+
+
 def check_conservation(rc: RunConfig, omega_t: float = 20.0,
                        steps: int = 2000) -> CheckResult:
     """Criterion 7: drifts of energy and both invariant triples; endpoint."""
@@ -183,18 +204,7 @@ def check_conservation(rc: RunConfig, omega_t: float = 20.0,
     w = classical.angular_frequency(init, cfg)
     t_end = omega_t / w
     traj = classical.geodesic_integrate(init, t_end, steps, cfg)
-    h0 = traj.energy[0]
-    h_drift = float(np.max(np.abs(traj.energy - h0))) / abs(h0)
-    th_drift = max(
-        float(np.max(np.abs(traj.theta_right - traj.theta_right[0]))),
-        float(np.max(np.abs(traj.theta_left - traj.theta_left[0]))))
-    final_exact = classical.geodesic_exact(init, t_end, cfg)
-    final_num = traj.states[-1]
-    endpoint = max(
-        float(np.max(np.abs(final_exact.point.eps - final_num.point.eps))) / cfg.R,
-        float(np.max(np.abs(final_exact.vel - final_num.vel))))
-    ok = (h_drift < rc.tol("h_drift") and th_drift < rc.tol("theta_drift")
-          and endpoint < rc.tol("endpoint"))
+    h_drift, th_drift, endpoint, ok = geodesic_deviations(rc, init, traj, t_end)
     return CheckResult("conservation", ok, {
         "omega_t": omega_t,
         "steps": steps,
@@ -218,26 +228,22 @@ def check_closed_form(rc: RunConfig, sample_times: int = 50) -> CheckResult:
     w = classical.angular_frequency(init, cfg)
     period = 2.0 * math.pi / w
 
-    times = []
-    t = 0.0
-    while len(times) < sample_times:
-        e, _, _ = classical.closed_form_chart(init, t, w)
-        if classical.rho_of(e, cfg) > 0.35:
-            times.append(t)
-        t += period / 211.0
-    residual = classical.geodesic_equation_residual(init, times, cfg, omega=w)
+    def residual_at(omega: float, max_norm: float) -> float:
+        # sample the closed form every period / 211 where it stays well
+        # inside the chart (|eps| < max_norm, rho > 0.35)
+        times = []
+        t = 0.0
+        while len(times) < sample_times:
+            e, _, _ = classical.closed_form_chart(init, t, omega)
+            if float(np.linalg.norm(e)) < max_norm and rho(ChartCoords(e, +1), cfg) > 0.35:
+                times.append(t)
+            t += period / 211.0
+        return classical.geodesic_equation_residual(init, times, cfg, omega=omega)
 
+    residual = residual_at(w, math.inf)
     h = classical.hamiltonian(init, cfg)
     w_energy_form = math.sqrt(8.0 * h / (cfg.m * cfg.R * cfg.R))
-    alt_times = []
-    t = 0.0
-    while len(alt_times) < sample_times:
-        e, _, _ = classical.closed_form_chart(init, t, w_energy_form)
-        if float(np.linalg.norm(e)) < 0.9 * cfg.R and classical.rho_of(e, cfg) > 0.35:
-            alt_times.append(t)
-        t += period / 211.0
-    residual_alt = classical.geodesic_equation_residual(init, alt_times, cfg,
-                                                        omega=w_energy_form)
+    residual_alt = residual_at(w_energy_form, 0.9 * cfg.R)
     ok = residual < rc.tol("geodesic_residual") and residual_alt > 1e-3
     return CheckResult("closed_form", ok, {
         "sampled_times": sample_times,

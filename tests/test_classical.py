@@ -11,7 +11,7 @@ from s3sigma import suite
 from s3sigma.classical import (_BASIS_NAMES, SolutionPoint, _bracket_matrix,
                                _sample_solution_points,
                                angular_frequency, geodesic_equation_residual,
-                               invariant_velocities, jacobi_residual, rho_of,
+                               invariant_velocities, jacobi_residual,
                                theta_of_darboux)
 from s3sigma.geometry import LEVI_CIVITA, canonical_one_form, rho, sample_chart_points
 
@@ -91,7 +91,7 @@ def test_geodesic_equation_residual_small(cfg_odd):
     while len(times) < 50:
         e, _, _ = __import__("s3sigma.classical", fromlist=["closed_form_chart"]). \
             closed_form_chart(init, t, w)
-        if rho_of(e, cfg_odd) > 0.35:
+        if rho(ChartCoords(e, +1), cfg_odd) > 0.35:
             times.append(t)
         t += period / 173.0
     assert geodesic_equation_residual(init, times, cfg_odd, omega=w) < 1e-7
@@ -217,7 +217,7 @@ def _basis(cfg, sp):
         funcs[f"eps{i + 1}"] = (lambda i=i: lambda e, p: float(e[i]))()
         funcs[f"theta{i + 1}"] = (lambda i=i: lambda e, p: float(
             theta_of_darboux(e, p, cfg, sp.rho_sign)[i]))()
-    funcs["rho"] = lambda e, p: rho_of(np.asarray(e), cfg) * sp.rho_sign
+    funcs["rho"] = lambda e, p: rho(ChartCoords(e, sp.rho_sign), cfg)
     funcs["one"] = lambda e, p: 1.0
     return funcs
 
@@ -233,7 +233,7 @@ def test_eps_theta_bracket_display(cfg, rng):
     # unit mass: {eps^i, theta_j} = eta^i_{jk} eps^k / R + rho delta^i_j
     for sp in _sample_solution_points(rng, cfg, 10):
         f = _basis(cfg, sp)
-        r0 = rho_of(sp.eps0, cfg) * sp.rho_sign
+        r0 = rho(ChartCoords(sp.eps0, sp.rho_sign), cfg)
         for i in range(3):
             for j in range(3):
                 b = poisson_bracket(f[f"eps{i+1}"], f[f"theta{j+1}"], sp, cfg)

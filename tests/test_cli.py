@@ -53,8 +53,14 @@ def test_seed_changes_report(tmp_path):
     assert a.read_bytes() != b.read_bytes()
 
 
-def test_usage_error_exit_codes():
-    assert main(["groupcheck", "--samples", "0"]) == 2
+def test_usage_error_exit_codes(capsys):
+    for argv, flag in ((["groupcheck", "--samples", "0"], "--samples"),
+                       (["poisson", "--samples", "0"], "--samples"),
+                       (["poisson", "--jacobi-points", "-3"], "--jacobi-points"),
+                       (["spectrum", "--n-max", "-1"], "--n-max"),
+                       (["orthonormality", "--n-max", "-1"], "--n-max")):
+        assert main(argv) == 2, argv
+        assert f"argument {flag}: must be at least" in capsys.readouterr().err, argv
     proc = run_cli(["nonsense-command"])
     assert proc.returncode == 2
 
@@ -127,6 +133,14 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert code == 0
     payload = json.loads(out.read_text())
     assert payload["config"]["R"] == 3.0
+
+
+def test_config_file_rejects_unknown_format(tmp_path):
+    conf = tmp_path / "run.conf"
+    conf.write_text("format = xml\n")
+    out = tmp_path / "o.txt"
+    assert main(["spectrum", "--config", str(conf), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_poisson_command(tmp_path):

@@ -462,17 +462,10 @@ def test_bump_derivatives_match_finite_differences(rng):
     for kind in ("one", "linear", "cross"):
         f = SmoothBump(1.0, kind)
         pts = rng.uniform(-0.55, 0.55, size=(8, 3))
-        for p in pts:
-            grad_fd = numdiff.gradient(lambda x: float(f.value(x[None, :])[0]),
-                                       p, 1e-5)
-            np.testing.assert_allclose(f.grad(p[None, :])[0], grad_fd,
-                                       atol=1e-9)
-            hess_fd = np.array([
-                [numdiff.second_partial(
-                    lambda x: float(f.value(x[None, :])[0]), p, a, b, 1e-4)
-                 for b in range(3)] for a in range(3)])
-            np.testing.assert_allclose(f.hess(p[None, :])[0], hess_fd,
-                                       atol=1e-6)
+        grad_fd = numdiff.stencil_gradient(lambda x: f.value(x)[..., None], pts, 1e-5)
+        np.testing.assert_allclose(f.grad(pts), grad_fd[:, 0, :], atol=1e-9)
+        _, hess_fd = numdiff.stencil_hessian(f.value, pts, 1e-4)
+        np.testing.assert_allclose(f.hess(pts), np.moveaxis(hess_fd, -1, 0), atol=1e-6)
 
 
 def test_bump_vanishes_outside_support():
