@@ -17,7 +17,7 @@ from .classical import (PhaseState, SolutionPoint, Trajectory, geodesic_exact,
                         geodesic_integrate, hamiltonian, hj_inverse,
                         hj_transform, lagrangian, momentum, poisson_bracket,
                         verify_basic_algebra)
-from .sigma_group import (GroupTangent, SigmaGroupElement, characteristic_check,
+from .sigma_group import (SigmaGroupElement, characteristic_check,
                           compose, identity, inverse, left_fields,
                           noether_invariants, quantization_form, right_fields)
 from .specfun import PolyEval, gegenbauer, spherical_harmonic
@@ -30,7 +30,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SpaceConfig", "ChartCoords", "S3Point", "PhaseState", "SolutionPoint",
-    "Trajectory", "SigmaGroupElement", "GroupTangent", "PolyEval",
+    "Trajectory", "SigmaGroupElement", "PolyEval",
     "HypersphericalNode", "QuadGrid", "SpectralLabel", "WaveFunction",
     "ChartBoundaryError", "DomainError", "QuadratureError", "StencilError",
     "rho", "metric", "metric_inverse", "canonical_one_form", "dual_field",

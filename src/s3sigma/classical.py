@@ -16,9 +16,10 @@ import numpy as np
 
 from . import numdiff
 from .config import SpaceConfig
-from .errors import ChartBoundaryError, DomainError, StencilError
-from .geometry import (ChartCoords, LEVI_CIVITA, canonical_one_form, dual_field,
-                       metric, metric_inverse, rho, sample_chart_points)
+from .errors import DomainError, StencilError
+from .geometry import (ChartCoords, LEVI_CIVITA, _heights, _metric, _metric_inverse,
+                       _off_equator, canonical_one_form, dual_field, metric, metric_inverse,
+                       rho, sample_chart_points)
 
 _REST_OMEGA = 1e-300
 
@@ -91,11 +92,7 @@ def _embed(state: PhaseState, cfg: SpaceConfig) -> tuple[np.ndarray, np.ndarray]
     """
     c = state.point
     c.validate(cfg)
-    r = rho(c, cfg)
-    if abs(r) < 1e-10:
-        raise ChartBoundaryError(
-            "embedded lift of the velocity needs |rho| > 0; the state sits "
-            "on the chart equator")
+    r = _off_equator(rho(c, cfg))
     x = np.concatenate(([cfg.R * r], c.eps))
     v0 = -float(np.dot(c.eps, state.vel)) / (cfg.R * r)
     v = np.concatenate(([v0], state.vel))
@@ -113,12 +110,12 @@ def _theta_from_embedding(x: np.ndarray, v: np.ndarray,
 
     theta(side)_i = rho vel_i - (v0/R) eps_i +- (vel x eps)_i / R equals
     the contraction of the side's one-form frame with the chart velocity.
+    x and v are (..., 4) embedded states.
     """
-    r = x[0] / cfg.R
-    eps = x[1:]
-    vel = v[1:]
-    v0 = v[0]
-    base = r * vel - (v0 / cfg.R) * eps
+    r = x[..., :1] / cfg.R
+    eps = x[..., 1:]
+    vel = v[..., 1:]
+    base = r * vel - (v[..., :1] / cfg.R) * eps
     cross = np.cross(vel, eps) / cfg.R
     return base + cross, base - cross
 
@@ -203,24 +200,29 @@ def closed_form_chart(init: PhaseState, t: float, omega: float) -> tuple[np.ndar
     return e, v, a
 
 
+def _christoffel_many(eps: np.ndarray, rho_sign, cfg: SpaceConfig, h: float) -> np.ndarray:
+    """Christoffel symbols Gamma[n, j, k, l] at chart points eps (N, 3).
+
+    dg comes from one stencil gradient of the metric at all points.
+    """
+    if np.any(np.linalg.norm(eps, axis=-1) + 2.0 * h > cfg.R * (1.0 - 1e-8)):
+        raise StencilError("Christoffel stencil would leave the chart")
+    sign = np.broadcast_to(rho_sign, eps.shape[:-1])[:, None, None]
+    jac = numdiff.stencil_gradient(
+        lambda y: _metric(y, sign, cfg).reshape(y.shape[:-1] + (9,)), eps, h)
+    dg = np.moveaxis(jac.reshape(-1, 3, 3, 3), -1, 1)  # dg[n, k, i, j] = d g_ij / d x^k
+    ginv = _metric_inverse(eps, cfg)
+    gamma = 0.5 * np.einsum("njm,nkml->njkl", ginv, dg)
+    gamma += 0.5 * np.einsum("njm,nlmk->njkl", ginv, dg)
+    gamma -= 0.5 * np.einsum("njm,nmkl->njkl", ginv, dg)
+    return gamma
+
+
 def christoffel(c: ChartCoords, cfg: SpaceConfig, h: float | None = None) -> np.ndarray:
     """Christoffel symbols Gamma[j, k, l] from central differences of g."""
     if h is None:
         h = numdiff.DEFAULT_REL_STEP * cfg.R
-    sign = c.rho_sign
-
-    def g_at(x: np.ndarray) -> np.ndarray:
-        return metric(ChartCoords(x, sign), cfg)
-
-    e = np.asarray(c.eps, dtype=float)
-    if float(np.linalg.norm(e)) + 2.0 * h > cfg.R * (1.0 - 1e-8):
-        raise StencilError("Christoffel stencil would leave the chart")
-    dg = np.stack([numdiff.partial(g_at, e, k, h) for k in range(3)], axis=0)
-    ginv = metric_inverse(c, cfg)
-    gamma = 0.5 * np.einsum("jm,kml->jkl", ginv, dg)
-    gamma += 0.5 * np.einsum("jm,lmk->jkl", ginv, dg)
-    gamma -= 0.5 * np.einsum("jm,mkl->jkl", ginv, dg)
-    return gamma
+    return _christoffel_many(c.eps[None], c.rho_sign, cfg, h)[0]
 
 
 def geodesic_equation_residual(init: PhaseState, times, cfg: SpaceConfig,
@@ -234,13 +236,11 @@ def geodesic_equation_residual(init: PhaseState, times, cfg: SpaceConfig,
         omega = angular_frequency(init, cfg)
     if omega == 0.0:
         return 0.0
-    worst = 0.0
-    for t in np.atleast_1d(times):
-        e, v, a = closed_form_chart(init, float(t), omega)
-        gamma = christoffel(ChartCoords(e, +1), cfg)
-        res = a + np.einsum("jkl,k,l->j", gamma, v, v)
-        worst = max(worst, float(np.max(np.abs(res))))
-    return worst
+    rows = [closed_form_chart(init, float(t), omega) for t in np.atleast_1d(times)]
+    e, v, a = (np.array([row[i] for row in rows]).reshape(-1, 3) for i in range(3))
+    gamma = _christoffel_many(e, +1, cfg, numdiff.DEFAULT_REL_STEP * cfg.R)
+    res = a + np.einsum("njkl,nk,nl->nj", gamma, v, v)
+    return float(np.max(np.abs(res), initial=0.0))
 
 
 def geodesic_integrate(init: PhaseState, t_end: float, steps: int,
@@ -268,21 +268,9 @@ def geodesic_integrate(init: PhaseState, t_end: float, steps: int,
     def accel(xx: np.ndarray, vv: np.ndarray) -> np.ndarray:
         return -(float(vv @ vv) / R2) * xx
 
-    times = np.empty(steps + 1)
-    states: list[PhaseState] = []
-    energy = np.empty(steps + 1)
-    th_r = np.empty((steps + 1, 3))
-    th_l = np.empty((steps + 1, 3))
-
-    def log(idx: int, t: float, xx: np.ndarray, vv: np.ndarray) -> None:
-        times[idx] = t
-        states.append(_project(xx, vv, cfg))
-        energy[idx] = 0.5 * cfg.m * float(vv @ vv)
-        tr, tl = _theta_from_embedding(xx, vv, cfg)
-        th_r[idx] = tr
-        th_l[idx] = tl
-
-    log(0, 0.0, x, v)
+    xs = np.empty((steps + 1, 4))
+    vs = np.empty((steps + 1, 4))
+    xs[0], vs[0] = x, v
     filled = 1
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
@@ -302,11 +290,14 @@ def geodesic_integrate(init: PhaseState, t_end: float, steps: int,
             # Constraint maintenance: |X| = R and V tangent.
             x *= cfg.R / float(np.linalg.norm(x))
             v -= (float(x @ v) / R2) * x
-            log(k + 1, (k + 1) * dt, x, v)
+            xs[filled], vs[filled] = x, v
             filled += 1
 
-    return Trajectory(times[:filled], states, energy[:filled],
-                      th_r[:filled], th_l[:filled], warnings)
+    xs, vs = xs[:filled], vs[:filled]
+    th_r, th_l = _theta_from_embedding(xs, vs, cfg)
+    energy = 0.5 * cfg.m * (vs[:, None, :] @ vs[:, :, None])[:, 0, 0]  # rounded as vv @ vv
+    return Trajectory(np.arange(filled) * dt, [_project(a, b, cfg) for a, b in zip(xs, vs)],
+                      energy, th_r, th_l, warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +482,7 @@ def verify_basic_algebra(sample_count: int, cfg: SpaceConfig, seed: int = 0,
     brackets = np.array([_bracket_matrix(sp, cfg) for sp in pts]).reshape(-1, 7, 7)
     e0 = np.array([sp.eps0 for sp in pts]).reshape(-1, 3)
     th0 = np.array([sp.theta0 for sp in pts]).reshape(-1, 3)
-    r0 = np.array([rho(ChartCoords(sp.eps0, sp.rho_sign), cfg) for sp in pts])
+    r0 = _heights(e0, np.array([sp.rho_sign for sp in pts], dtype=int), cfg)
 
     eps_theta = (np.einsum("ijk,nk->nij", LEVI_CIVITA, e0) / cfg.R
                  + r0[:, None, None] * np.eye(3))

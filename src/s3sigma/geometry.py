@@ -40,13 +40,13 @@ _UNIT_TOL = 1e-12
 
 
 def cross_matrix(v: np.ndarray) -> np.ndarray:
-    """Matrix M[i, j] = sum_k eps_{ijk} v_k, so that M @ w = w x v."""
+    """Matrices M[..., i, j] = sum_k eps_{ijk} v[..., k], so that M @ w = w x v."""
     v = np.asarray(v, dtype=float)
-    return np.array([
-        [0.0, v[2], -v[1]],
-        [-v[2], 0.0, v[0]],
-        [v[1], -v[0], 0.0],
-    ])
+    out = np.zeros(v.shape[:-1] + (3, 3))
+    out[..., 0, 1], out[..., 0, 2] = v[..., 2], -v[..., 1]
+    out[..., 1, 0], out[..., 1, 2] = -v[..., 2], v[..., 0]
+    out[..., 2, 0], out[..., 2, 1] = v[..., 1], -v[..., 0]
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,33 +107,56 @@ def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def rho(c: ChartCoords, cfg: SpaceConfig) -> float:
     """Signed height rho = rho_sign * sqrt(1 - |eps|^2 / R^2)."""
-    s2 = float(np.dot(c.eps, c.eps)) / (cfg.R * cfg.R)
-    if s2 > 1.0 + _UNIT_TOL:
-        raise DomainError(
-            f"|eps|^2/R^2 = {s2} exceeds 1; the point is outside the chart ball")
-    return c.rho_sign * math.sqrt(max(0.0, 1.0 - s2))
+    return float(_heights(c.eps, c.rho_sign, cfg))
 
 
-def _rho_checked(c: ChartCoords, cfg: SpaceConfig) -> float:
-    r = rho(c, cfg)
-    if abs(r) < RHO_FLOOR:
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis of (..., 3) arrays, each rounded as np.dot rounds it."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _heights(eps: np.ndarray, rho_sign, cfg: SpaceConfig) -> np.ndarray:
+    """Signed heights rho of chart points eps (..., 3): rho batched.
+
+    rho_sign broadcasts against eps[..., 0].  DomainError when an eps
+    leaves the chart ball, |eps|^2 / R^2 > 1 + 1e-12, or is not finite.
+    """
+    s2 = np.asarray(_dot(eps, eps) / (cfg.R * cfg.R))
+    out = ~(s2 <= 1.0 + _UNIT_TOL)
+    if np.any(out):
+        raise DomainError(f"|eps| = {cfg.R * math.sqrt(s2[out][0])} exceeds "
+                          f"the chart radius R = {cfg.R}")
+    return rho_sign * np.sqrt(np.maximum(0.0, 1.0 - s2))
+
+
+def _off_equator(r):
+    if np.any(np.abs(r) < RHO_FLOOR):
         raise ChartBoundaryError(
             "point sits on the chart equator (|rho| < 1e-10); "
             "use the opposite-hemisphere chart")
     return r
 
 
+def _metric(eps: np.ndarray, rho_sign, cfg: SpaceConfig) -> np.ndarray:
+    """The metric at chart points eps (..., 3), as (..., 3, 3)."""
+    r = _off_equator(_heights(eps, rho_sign, cfg))
+    den = cfg.R * cfg.R * r * r
+    return np.eye(3) + eps[..., :, None] * eps[..., None, :] / den[..., None, None]
+
+
+def _metric_inverse(eps: np.ndarray, cfg: SpaceConfig) -> np.ndarray:
+    """The inverse metric at chart points eps (..., 3), as (..., 3, 3)."""
+    return np.eye(3) - eps[..., :, None] * eps[..., None, :] / (cfg.R * cfg.R)
+
+
 def metric(c: ChartCoords, cfg: SpaceConfig) -> np.ndarray:
     """Induced metric g_ij = delta_ij + eps_i eps_j / (R^2 rho^2)."""
-    r = _rho_checked(c, cfg)
-    e = c.eps
-    return np.eye(3) + np.outer(e, e) / (cfg.R * cfg.R * r * r)
+    return _metric(c.eps, c.rho_sign, cfg)
 
 
 def metric_inverse(c: ChartCoords, cfg: SpaceConfig) -> np.ndarray:
     """Inverse metric g^ij = delta^ij - eps^i eps^j / R^2 (regular everywhere)."""
-    e = c.eps
-    return np.eye(3) - np.outer(e, e) / (cfg.R * cfg.R)
+    return _metric_inverse(c.eps, cfg)
 
 
 def _side_sign(side: str) -> float:
@@ -152,7 +175,7 @@ def canonical_one_form(c: ChartCoords, side: str, cfg: SpaceConfig) -> np.ndarra
     the - term.  Rows are frame labels, columns chart coordinates.
     """
     s = _side_sign(side)
-    r = _rho_checked(c, cfg)
+    r = _off_equator(rho(c, cfg))
     e = c.eps
     R = cfg.R
     return r * np.eye(3) + np.outer(e, e) / (R * R * r) + (s / R) * cross_matrix(e)
@@ -165,11 +188,13 @@ def dual_field(c: ChartCoords, side: str, cfg: SpaceConfig) -> np.ndarray:
     component vector of the i-th field.  Polynomial in eps and rho, so
     no chart-boundary error is possible.
     """
-    s = _side_sign(side)
-    r = rho(c, cfg)
-    e = c.eps
+    return _dual(c.eps, np.asarray(rho(c, cfg)), _side_sign(side), cfg.R)
+
+
+def _dual(eps: np.ndarray, r: np.ndarray, s: float, R: float) -> np.ndarray:
+    """dual_field at chart points eps (..., 3) with heights r, side sign s."""
     # Z[i, k] = rho delta + s/R * eps_{kij} e_j = rho delta - s/R * cross_matrix(e)[i, k]
-    return r * np.eye(3) - (s / cfg.R) * cross_matrix(e)
+    return r[..., None, None] * np.eye(3) - (s / R) * cross_matrix(eps)
 
 
 def killing_residual(c: ChartCoords, field_fn, cfg: SpaceConfig,
@@ -190,13 +215,17 @@ def killing_residual(c: ChartCoords, field_fn, cfg: SpaceConfig,
 
     sign = c.rho_sign
 
-    def field_at(x: np.ndarray) -> np.ndarray:
-        return np.asarray(field_fn(ChartCoords(x, sign)), dtype=float)
+    def field_and_metric(x: np.ndarray) -> np.ndarray:
+        pts = x.reshape(-1, 3)
+        field = np.array([field_fn(ChartCoords(p, sign)) for p in pts], dtype=float)
+        return np.concatenate((field.reshape(x.shape),
+                               _metric(x, sign, cfg).reshape(x.shape[:-1] + (9,))), axis=-1)
 
-    def metric_at(x: np.ndarray) -> np.ndarray:
-        return metric(ChartCoords(x, sign), cfg)
-
-    lie = numdiff.metric_lie_derivative(field_at, metric_at, e, h)
+    jac = numdiff.stencil_gradient(field_and_metric, e, h)
+    jx, dg = jac[:3], jac[3:].reshape(3, 3, 3)  # jx[k, i] = d X^k / d x^i, dg[i, j, k] = d g_ij / d x^k
+    g = metric(c, cfg)
+    # (L_X g)_ij = X^k d_k g_ij + d_i X^k g_kj + d_j X^k g_ik
+    lie = dg @ np.asarray(field_fn(c), dtype=float) + jx.T @ g + g @ jx
     return float(np.max(np.abs(lie)))
 
 

@@ -5,10 +5,12 @@ tables below; the default relative step is 1e-5 times the coordinate
 scale, which balances truncation against roundoff at double precision
 for the smooth fields handled here.  The batched engine is
 `stencil_gradient`, `stencil_hessian` and `complex_step_gradient`: each
-calls its function once, on every point of every stencil.  `partial`
-and `jacobian` stay scalar because the group frames and Killing fields
-call them point by point until those layers are batched, and the
-benchmark tracer (`perfbench/tracer.py`) reads both by name.
+calls its function once, on every point of every stencil, and every
+stencil of the package goes through it.  Two scalar routines remain:
+`partial`, with which `classical.poisson_bracket` differentiates its two
+user-supplied scalar functions, and `jacobian`, which the package no
+longer calls.  The benchmark tracer (`perfbench/tracer.py`) reads both
+by name.
 """
 
 from __future__ import annotations
@@ -127,23 +129,3 @@ def jacobian(F, x: np.ndarray, h) -> np.ndarray:
     hs = np.broadcast_to(np.asarray(h, dtype=float), x.shape)
     cols = [partial(F, x, i, hs[i]) for i in range(x.size)]
     return np.stack([np.asarray(c, dtype=float) for c in cols], axis=-1)
-
-
-def vector_field_bracket(X, Y, x: np.ndarray, h) -> np.ndarray:
-    """Lie bracket [X, Y]^k = X^j d_j Y^k - Y^j d_j X^k at x."""
-    jx = jacobian(X, x, h)
-    jy = jacobian(Y, x, h)
-    return jy @ np.asarray(X(x), dtype=float) - jx @ np.asarray(Y(x), dtype=float)
-
-
-def metric_lie_derivative(field, metric_fn, x: np.ndarray, h) -> np.ndarray:
-    """(L_X g)_ij = X^k d_k g_ij + d_i X^k g_kj + d_j X^k g_ik at x."""
-    x = np.asarray(x, dtype=float)
-    hs = np.broadcast_to(np.asarray(h, dtype=float), x.shape)
-    g = np.asarray(metric_fn(x), dtype=float)
-    xval = np.asarray(field(x), dtype=float)
-    dg = np.stack([partial(metric_fn, x, k, hs[k]) for k in range(x.size)], axis=0)
-    jx = jacobian(field, x, hs)  # jx[k, i] = d X^k / d x^i
-    lie = np.einsum("k,kij->ij", xval, dg)
-    lie += jx.T @ g + g @ jx
-    return lie

@@ -5,6 +5,9 @@ part, two velocity-type translation blocks nu and z, and a U(1) phase
 zeta.  Composition, inversion, both invariant frames, the quantization
 1-form dual to the central generator, its Noether invariants, and the
 numerical machinery that verifies the commutator table live here.
+Everything is batch-first: the group law works on ElementBatch arrays,
+and both frames and Theta come from one kernel over coordinate arrays
+(..., 8); the per-element functions are their N = 1 case.
 
 Coordinate order for all 8-component objects: (eps1, eps2, eps3,
 nu1, nu2, nu3, z, phi) with zeta = exp(i phi).
@@ -20,9 +23,11 @@ import numpy as np
 
 from . import numdiff
 from .config import SpaceConfig
-from .errors import ChartBoundaryError, DomainError
-from .geometry import (_UNIT_TOL, ChartCoords, LEVI_CIVITA, cross_matrix, dual_field,
-                       quat_mul, rho)
+from .errors import DomainError
+# dual_field stays bound here, an import-by-name site that the benchmark
+# tracer's tests check, though the frames below no longer call it.
+from .geometry import (ChartCoords, LEVI_CIVITA, _dot, _dual, _heights,  # noqa: F401
+                       _off_equator, cross_matrix, dual_field, quat_mul, rho)
 
 @dataclass(frozen=True, eq=False)
 class SigmaGroupElement:
@@ -53,19 +58,6 @@ class SigmaGroupElement:
 
     def chart(self) -> ChartCoords:
         return ChartCoords(self.eps, self.rho_sign)
-
-
-@dataclass(frozen=True, eq=False)
-class GroupTangent:
-    """Tangent 8-vector in the (eps, nu, z, phi) coordinate basis."""
-
-    components: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.array(self.components, dtype=float).reshape(8)
-        object.__setattr__(self, "components", v)
-        if not np.all(np.isfinite(v)):
-            raise DomainError("tangent components must be finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,28 +132,9 @@ def identity(cfg: SpaceConfig) -> SigmaGroupElement:
     return SigmaGroupElement(np.zeros(3), +1, np.zeros(3), 0.0, 1.0 + 0.0j)
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot product of (N, 3) arrays, rounded as np.dot rounds it."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
 def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Complex product with the rounding of Python complex arithmetic."""
     return (a.real * b.real - a.imag * b.imag) + 1j * (a.real * b.imag + a.imag * b.real)
-
-
-def _heights(g: ElementBatch, cfg: SpaceConfig) -> np.ndarray:
-    """Signed heights rho; DomainError when an eps leaves the chart ball.
-
-    The bound is that of geometry.rho, |eps|^2 / R^2 <= 1 + 1e-12; it
-    also rejects non-finite eps.
-    """
-    s2 = _dot(g.eps, g.eps) / (cfg.R * cfg.R)
-    out = ~(s2 <= 1.0 + _UNIT_TOL)
-    if np.any(out):
-        raise DomainError(f"|eps| = {cfg.R * math.sqrt(s2[out][0])} exceeds "
-                          f"the chart radius R = {cfg.R}")
-    return g.rho_sign * np.sqrt(np.maximum(0.0, 1.0 - s2))
 
 
 def element_from_coords(x: np.ndarray, rho_sign: int = +1) -> SigmaGroupElement:
@@ -184,9 +157,9 @@ def compose_many(gp: ElementBatch, g: ElementBatch, cfg: SpaceConfig) -> Element
     rotated by the left-frame matrix of gp.
     """
     R = cfg.R
-    rho_p = _heights(gp, cfg)
+    rho_p = _heights(gp.eps, gp.rho_sign, cfg)
     qp = np.concatenate((rho_p[:, None], gp.eps / R), axis=1)
-    q = np.concatenate((_heights(g, cfg)[:, None], g.eps / R), axis=1)
+    q = np.concatenate((_heights(g.eps, g.rho_sign, cfg)[:, None], g.eps / R), axis=1)
     qq = quat_mul(qp, q)
     eps_nu = _dot(gp.eps, g.nu)
     nu2 = (gp.nu + rho_p[:, None] * g.nu + np.cross(gp.eps, g.nu) / R
@@ -199,7 +172,7 @@ def compose_many(gp: ElementBatch, g: ElementBatch, cfg: SpaceConfig) -> Element
 
 def inverse_many(g: ElementBatch, cfg: SpaceConfig) -> ElementBatch:
     """Two-sided inverses, solved in closed form from the group law."""
-    r = _heights(g, cfg)
+    r = _heights(g.eps, g.rho_sign, cfg)
     R = cfg.R
     eps_nu = _dot(g.eps, g.nu)
     nu_i = (-r[:, None] * g.nu + np.cross(g.eps, g.nu) / R
@@ -219,7 +192,7 @@ def distance_many(a: ElementBatch, b: ElementBatch, cfg: SpaceConfig) -> np.ndar
     dzeta = a.zeta - b.zeta
     return np.max(np.stack([
         np.max(np.abs(a.eps - b.eps), axis=1) / cfg.R,
-        np.abs(_heights(a, cfg) - _heights(b, cfg)),
+        np.abs(_heights(a.eps, a.rho_sign, cfg) - _heights(b.eps, b.rho_sign, cfg)),
         np.max(np.abs(a.nu - b.nu), axis=1),
         np.abs(a.z - b.z),
         np.hypot(dzeta.real, dzeta.imag),
@@ -246,114 +219,119 @@ def element_distance(a: SigmaGroupElement, b: SigmaGroupElement,
 # ---------------------------------------------------------------------------
 # invariant frames
 
-def left_fields(g: SigmaGroupElement, cfg: SpaceConfig) -> np.ndarray:
-    """Components of the 8 left-invariant fields at g, rows per generator.
+def _theta(x: np.ndarray, rho_sign, cfg: SpaceConfig):
+    """Theta (..., 8) at coordinates x (..., 8), and the heights rho it was built from.
 
-    Row order matches the coordinate order: the three eps-type
-    generators, the three nu-type ones, the z generator and the central
-    generator (which is plain d/dphi).
+    Theta = -m eps_i d nu^i - m R (rho - 1) d z + d phi, the invariant
+    1-form dual to the central generator.  rho_sign broadcasts against
+    x[..., 0].
     """
-    c = g.chart()
-    r = rho(c, cfg)
-    zl3 = dual_field(c, "left", cfg)
-    R = cfg.R
-    m = cfg.m
-    out = np.zeros((8, 8))
-    out[0:3, 0:3] = zl3
-    out[3:6, 3:6] = zl3
-    out[3:6, 6] = -g.eps / R
-    out[3:6, 7] = m * g.eps
-    out[6, 3:6] = g.eps / R
-    out[6, 6] = r
-    out[6, 7] = -m * R * (r - 1.0)
-    out[7, 7] = 1.0
-    return out
+    eps = x[..., 0:3]
+    r = _heights(eps, rho_sign, cfg)
+    theta = np.zeros(x.shape[:-1] + (8,))
+    theta[..., 3:6] = -cfg.m * eps
+    theta[..., 6] = -cfg.m * cfg.R * (r - 1.0)
+    theta[..., 7] = 1.0
+    return theta, r
+
+
+def _frames(x: np.ndarray, rho_sign, cfg: SpaceConfig):
+    """Left frame (..., 8, 8), right frame (..., 8, 8) and Theta (..., 8) at x (..., 8).
+
+    Rows of a frame are generators, columns coordinates: the three
+    eps-type generators, the three nu-type ones, the z generator and the
+    central one (plain d/dphi).  Every entry is elementwise in eps, nu
+    and z (phi is not read); the rotation blocks are geometry's dual
+    fields.
+    """
+    R, m = cfg.R, cfg.m
+    eps, nu, z = x[..., 0:3], x[..., 3:6], x[..., 6]
+    theta, r = _theta(x, rho_sign, cfg)
+    left = np.zeros(x.shape[:-1] + (8, 8))
+    left[..., 0:3, 0:3] = left[..., 3:6, 3:6] = _dual(eps, r, -1.0, R)
+    left[..., 3:6, 6] = -eps / R
+    left[..., 3:6, 7] = m * eps
+    left[..., 6, 3:6] = eps / R
+    left[..., 6, 6] = r
+    left[..., 6, 7] = theta[..., 6]
+    left[..., 7, 7] = 1.0
+    right = np.zeros_like(left)
+    right[..., 0:3, 0:3] = _dual(eps, r, 1.0, R)
+    # eps_{jik} nu_k / R, plus z / R on the diagonal
+    right[..., 0:3, 3:6] = cross_matrix(-nu) / R + (z / R)[..., None, None] * np.eye(3)
+    right[..., 0:3, 6] = -nu / R
+    right[..., 0:3, 7] = m * nu
+    right[..., 3:8, 3:8] = np.eye(5)
+    return left, right, theta
+
+
+def _coords(b: ElementBatch) -> np.ndarray:
+    """The (N, 8) coordinates (eps, nu, z, phi) of a batch."""
+    return np.column_stack((b.eps, b.nu, b.z, np.angle(b.zeta)))
+
+
+def _one(g: SigmaGroupElement):
+    """A single element as the (1, 8) coordinates and (1,) sign of a batch."""
+    return element_coords(g)[None], np.array([g.rho_sign])
+
+
+def left_fields(g: SigmaGroupElement, cfg: SpaceConfig) -> np.ndarray:
+    """Components of the 8 left-invariant fields at g, rows per generator."""
+    return _frames(*_one(g), cfg)[0][0]
 
 
 def right_fields(g: SigmaGroupElement, cfg: SpaceConfig) -> np.ndarray:
     """Components of the 8 right-invariant fields at g, rows per generator."""
-    c = g.chart()
-    zr3 = dual_field(c, "right", cfg)
-    R = cfg.R
-    m = cfg.m
-    out = np.zeros((8, 8))
-    out[0:3, 0:3] = zr3
-    # eps_{jik} nu_k / R, plus z / R on the diagonal
-    out[0:3, 3:6] = cross_matrix(-g.nu) / R + (g.z / R) * np.eye(3)
-    out[0:3, 6] = -g.nu / R
-    out[0:3, 7] = m * g.nu
-    out[3:8, 3:8] = np.eye(5)
-    return out
+    return _frames(*_one(g), cfg)[1][0]
 
 
 def quantization_form(g: SigmaGroupElement, cfg: SpaceConfig) -> np.ndarray:
-    """Components of the invariant 1-form dual to the central generator.
+    """Components of the invariant 1-form Theta dual to the central generator,
+    an 8-covector in the (eps, nu, z, phi) basis."""
+    return _theta(*_one(g), cfg)[0][0]
 
-    Theta = -m eps_i d nu^i - m R (rho - 1) d z + d phi, returned as an
-    8-covector in the (eps, nu, z, phi) basis.
+
+def noether_many(b: ElementBatch, cfg: SpaceConfig) -> np.ndarray:
+    """The seven conserved pairings of Theta with the right frame, (N, 7).
+
+    Order: the three eps-type invariants m (Z[i, k] nu_k - z eps_i / R),
+    with Z the right dual field, the three nu-type ones -m eps_i, then
+    -m R (rho - 1).
     """
-    c = g.chart()
-    r = rho(c, cfg)
-    out = np.zeros(8)
-    out[3:6] = -cfg.m * g.eps
-    out[6] = -cfg.m * cfg.R * (r - 1.0)
-    out[7] = 1.0
-    return out
+    _, right, theta = _frames(_coords(b), b.rho_sign, cfg)
+    zr3 = right[:, 0:3, 0:3]
+    return np.concatenate((
+        cfg.m * ((zr3 @ b.nu[:, :, None])[..., 0] - (b.z / cfg.R)[:, None] * b.eps),
+        theta[:, 3:7]), axis=1)
 
 
 def noether_invariants(g: SigmaGroupElement, cfg: SpaceConfig) -> np.ndarray:
-    """The seven conserved pairings of Theta with the right frame.
-
-    Order: the three eps-type invariants m (Z[i, k] nu_k - z eps_i / R),
-    the three nu-type ones -m eps_i, then -m R (rho - 1).
-    """
-    c = g.chart()
-    r = rho(c, cfg)
-    zr3 = dual_field(c, "right", cfg)
-    m, R = cfg.m, cfg.R
-    out = np.empty(7)
-    out[0:3] = m * (zr3 @ g.nu - (g.z / R) * g.eps)
-    out[3:6] = -m * g.eps
-    out[6] = -m * R * (r - 1.0)
-    return out
+    """noether_many at one element."""
+    return noether_many(ElementBatch.of([g]), cfg)[0]
 
 
 # ---------------------------------------------------------------------------
 # numerical differential machinery on the group
 
-_COORD_SCALES = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+def _coord_steps(cfg: SpaceConfig) -> np.ndarray:
+    return numdiff.DEFAULT_REL_STEP * np.array([cfg.R] * 3 + [1.0] * 5)
 
 
-def _coord_steps(cfg: SpaceConfig, rel: float = numdiff.DEFAULT_REL_STEP) -> np.ndarray:
-    s = _COORD_SCALES.copy()
-    s[0:3] = cfg.R
-    return rel * s
-
-
-def theta_function(g: SigmaGroupElement, cfg: SpaceConfig):
-    """Theta components as a function of the 8 coordinates near g."""
-    sign = g.rho_sign
-
-    def f(x: np.ndarray) -> np.ndarray:
-        return quantization_form(element_from_coords(x, sign), cfg)
-
-    return f
+def _dtheta(x: np.ndarray, rho_sign, cfg: SpaceConfig) -> np.ndarray:
+    """dTheta[n, a, b] at coordinates x (N, 8), by antisymmetrized differentiation."""
+    sign = np.asarray(rho_sign)[:, None, None]
+    jac = numdiff.stencil_gradient(lambda y: _theta(y, sign, cfg)[0], x, _coord_steps(cfg))
+    return np.swapaxes(jac, -1, -2) - jac  # jac[n, b, a] = d Theta_b / d x^a
 
 
 def dtheta_matrix(g: SigmaGroupElement, cfg: SpaceConfig) -> np.ndarray:
-    """Exterior derivative dTheta[a, b] by antisymmetrized differentiation."""
-    f = theta_function(g, cfg)
-    x0 = element_coords(g)
-    jac = numdiff.jacobian(f, x0, _coord_steps(cfg))  # jac[b, a] = d Theta_b / d x^a
-    return jac.T - jac
+    """Exterior derivative dTheta[a, b] at one element."""
+    return _dtheta(*_one(g), cfg)[0]
 
 
 def dtheta_exact(g: SigmaGroupElement, cfg: SpaceConfig) -> np.ndarray:
     """Closed-form dTheta for the chart interior, used as a cross-check."""
-    c = g.chart()
-    r = rho(c, cfg)
-    if abs(r) < 1e-10:
-        raise ChartBoundaryError("closed-form dTheta needs the chart interior")
+    r = _off_equator(rho(g.chart(), cfg))
     out = np.zeros((8, 8))
     m, R = cfg.m, cfg.R
     for k in range(3):
@@ -364,25 +342,39 @@ def dtheta_exact(g: SigmaGroupElement, cfg: SpaceConfig) -> np.ndarray:
     return out
 
 
-def _frame_with_jacobian(side: str, g: SigmaGroupElement, cfg: SpaceConfig):
-    """One side's field matrix F at g and its Jacobian J[a, k, i] = d F[a, k] / d x^i.
+def _frame_with_jacobian(x: np.ndarray, rho_sign, cfg: SpaceConfig):
+    """Both frames at coordinates x (N, 8) and their Jacobians J[n, a, k, i] = d F[n, a, k] / d x^i.
 
-    A single stencil over the whole 8x8 matrix serves every bracket of
-    the frame; row a of it is, bit for bit, the stencil of field a alone.
+    One stencil over both 8x8 matrices serves every bracket of both
+    frames; row a of it is, bit for bit, the stencil of field a alone.
+    Returns (left, right, left Jacobian, right Jacobian).
     """
-    builder = left_fields if side == "left" else right_fields
-    sign = g.rho_sign
+    sign = np.asarray(rho_sign)[:, None, None]
 
-    def frame(x: np.ndarray) -> np.ndarray:
-        return builder(element_from_coords(x, sign), cfg)
+    def both(y: np.ndarray) -> np.ndarray:
+        left, right, _ = _frames(y, sign, cfg)
+        return np.concatenate((left, right), axis=-2).reshape(y.shape[:-1] + (128,))
 
-    x0 = element_coords(g)
-    return frame(x0), numdiff.jacobian(frame, x0, _coord_steps(cfg))
+    left, right, _ = _frames(x, rho_sign, cfg)
+    # C order: the bracket products round differently on a transposed layout
+    jac = np.ascontiguousarray(numdiff.stencil_gradient(both, x, _coord_steps(cfg))
+                               .reshape(-1, 16, 8, 8))
+    return left, right, jac[:, :8], jac[:, 8:]
 
 
-def _bracket(fa: np.ndarray, ja: np.ndarray, fb: np.ndarray, jb: np.ndarray) -> np.ndarray:
-    """[F_a, F_b]^k = F_a^i d_i F_b^k - F_b^i d_i F_a^k from fields and Jacobians."""
-    return GroupTangent(jb @ fa - ja @ fb).components
+def _brackets(fa: np.ndarray, ja: np.ndarray, fb: np.ndarray, jb: np.ndarray) -> np.ndarray:
+    """[F_a, F_b]^k = F_a^i d_i F_b^k - F_b^i d_i F_a^k from stacks of fields and Jacobians.
+
+    DomainError when a component is not finite.
+    """
+    out = (jb @ fa[..., None])[..., 0] - (ja @ fb[..., None])[..., 0]
+    if not np.all(np.isfinite(out)):
+        raise DomainError("tangent components must be finite")
+    return out
+
+
+#: The 28 generator pairs a < b, in the order of the bracket table.
+_PAIRS = np.triu_indices(8, 1)
 
 
 def expected_right_bracket_coefficients(cfg: SpaceConfig) -> dict:
@@ -417,6 +409,13 @@ def expected_right_bracket_coefficients(cfg: SpaceConfig) -> dict:
     return table
 
 
+def _right_structure_constants(fr: np.ndarray, jr: np.ndarray) -> np.ndarray:
+    """Each right-frame bracket of the pairs a < b expanded in the right frame, (N, 28, 8)."""
+    a, b = _PAIRS
+    br = _brackets(fr[:, a], jr[:, a], fr[:, b], jr[:, b])
+    return np.linalg.solve(np.swapaxes(fr, -1, -2)[:, None], br[..., None])[..., 0]
+
+
 def measured_right_bracket_coefficients(g: SigmaGroupElement,
                                         cfg: SpaceConfig) -> dict:
     """Expand each numerical right-frame bracket back in the right frame.
@@ -424,12 +423,21 @@ def measured_right_bracket_coefficients(g: SigmaGroupElement,
     Returns (a, b) -> 8-vector of measured structure constants for all
     pairs a < b over the 8 generators.
     """
-    f, j = _frame_with_jacobian("right", g, cfg)
-    out = {}
-    for a in range(8):
-        for b in range(a + 1, 8):
-            out[(a, b)] = np.linalg.solve(f.T, _bracket(f[a], j[a], f[b], j[b]))
-    return out
+    _, fr, _, jr = _frame_with_jacobian(*_one(g), cfg)
+    coeffs = _right_structure_constants(fr, jr)[0]
+    return {(int(a), int(b)): c for a, b, c in zip(*_PAIRS, coeffs)}
+
+
+def bracket_residuals(b: ElementBatch, cfg: SpaceConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Per element of a batch, the largest deviation of the measured right-frame
+    structure constants from the expected table, and the largest component
+    of any [left, right] bracket (which should vanish)."""
+    fl, fr, jl, jr = _frame_with_jacobian(_coords(b), b.rho_sign, cfg)
+    table = expected_right_bracket_coefficients(cfg)
+    expected = np.array([table.get(pair, np.zeros(8)) for pair in zip(*_PAIRS)])
+    deviation = np.abs(_right_structure_constants(fr, jr) - expected)
+    mixed = _brackets(fl[:, :, None], jl[:, :, None], fr[:, None], jr[:, None])
+    return np.max(deviation, axis=(1, 2)), np.max(np.abs(mixed), axis=(1, 2, 3))
 
 
 def bracket_table_report(g: SigmaGroupElement, cfg: SpaceConfig) -> dict:
@@ -453,14 +461,30 @@ def bracket_table_report(g: SigmaGroupElement, cfg: SpaceConfig) -> dict:
 
 def mixed_bracket_residual(g: SigmaGroupElement, cfg: SpaceConfig) -> float:
     """Max norm over all [left, right] numerical brackets (should vanish)."""
-    fl, jl = _frame_with_jacobian("left", g, cfg)
-    fr, jr = _frame_with_jacobian("right", g, cfg)
-    worst = 0.0
-    for a in range(8):
-        for b in range(8):
-            w = _bracket(fl[a], jl[a], fr[b], jr[b])
-            worst = max(worst, float(np.max(np.abs(w))))
-    return worst
+    return float(bracket_residuals(ElementBatch.of([g]), cfg)[1][0])
+
+
+def characteristic_many(b: ElementBatch, cfg: SpaceConfig) -> dict:
+    """characteristic_check at every element of a batch, as (N,) arrays,
+    plus "theta_on_right" (N, 8), the pairings of Theta with the right fields."""
+    x = _coords(b)
+    left, right, theta = _frames(x, b.rho_sign, cfg)
+    dth = _dtheta(x, b.rho_sign, cfg)
+    on_left = (theta[:, None, None, :] @ left[..., None])[..., 0, 0]
+    on_right = (theta[:, None, None, :] @ right[..., None])[..., 0, 0]
+    # rows: zl_z, zl_nu1 and the central generator xi
+    d_on = np.max(np.abs((np.stack((left[:, 6], left[:, 3], right[:, 7]), 1)[:, :, None]
+                          @ dth[:, None])[:, :, 0]), axis=-1)
+    return {
+        "theta_on_central": on_right[:, 7],
+        "theta_on_zl_z": on_left[:, 6],
+        "dtheta_on_zl_z": d_on[:, 0],
+        "dtheta_on_central": d_on[:, 2],
+        "theta_on_zl_nu1": on_left[:, 3],
+        "theta_on_zl_eps1": on_left[:, 0],
+        "dtheta_on_zl_nu1": d_on[:, 1],
+        "theta_on_right": on_right,
+    }
 
 
 def characteristic_check(g: SigmaGroupElement, cfg: SpaceConfig) -> dict:
@@ -470,23 +494,9 @@ def characteristic_check(g: SigmaGroupElement, cfg: SpaceConfig) -> dict:
     the central generator is degenerate in dTheta; a nu-type left
     generator annihilates Theta but not dTheta (symplectic contrast).
     """
-    theta = quantization_form(g, cfg)
-    dth = dtheta_matrix(g, cfg)
-    lf = left_fields(g, cfg)
-    rf = right_fields(g, cfg)
-    zl_z = lf[6]
-    xi = rf[7]
-    zl_nu1 = lf[3]
-    zl_eps1 = lf[0]
-    return {
-        "theta_on_central": float(theta @ xi),
-        "theta_on_zl_z": float(theta @ zl_z),
-        "dtheta_on_zl_z": float(np.max(np.abs(zl_z @ dth))),
-        "dtheta_on_central": float(np.max(np.abs(xi @ dth))),
-        "theta_on_zl_nu1": float(theta @ zl_nu1),
-        "theta_on_zl_eps1": float(theta @ zl_eps1),
-        "dtheta_on_zl_nu1": float(np.max(np.abs(zl_nu1 @ dth))),
-    }
+    chk = characteristic_many(ElementBatch.of([g]), cfg)
+    del chk["theta_on_right"]
+    return {key: float(v[0]) for key, v in chk.items()}
 
 
 def sample_batch(rng: np.random.Generator, cfg: SpaceConfig, count: int,

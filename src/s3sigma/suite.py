@@ -133,13 +133,9 @@ def check_lie_algebra(rc: RunConfig, samples: int = 12) -> CheckResult:
     """Criterion 5: the measured bracket table and left-right commutation."""
     cfg = rc.space()
     rng = np.random.default_rng([rc.seed, 5])
-    elements = sigma_group.sample_elements(rng, cfg, samples)
-    worst_table = 0.0
-    worst_mixed = 0.0
-    for g in elements:
-        table = sigma_group.bracket_table_report(g, cfg)
-        worst_table = max(worst_table, table["max_coefficient_deviation"])
-        worst_mixed = max(worst_mixed, sigma_group.mixed_bracket_residual(g, cfg))
+    table, mixed = sigma_group.bracket_residuals(sigma_group.sample_batch(rng, cfg, samples), cfg)
+    worst_table = float(np.max(table, initial=0.0))
+    worst_mixed = float(np.max(mixed, initial=0.0))
     ok = worst_table < rc.tol("bracket") and worst_mixed < rc.tol("lr_commute")
     return CheckResult("lie_algebra", ok, {
         "samples": samples,
@@ -260,31 +256,15 @@ def check_quantization_form(rc: RunConfig, samples: int = 100) -> CheckResult:
     """Criterion 9: contractions of the invariant 1-form and the Noether table."""
     cfg = rc.space()
     rng = np.random.default_rng([rc.seed, 9])
-    elements = sigma_group.sample_elements(rng, cfg, samples)
-    worst_central = 0.0
-    worst_char = 0.0
-    worst_noether = 0.0
-    min_symplectic_contrast = math.inf
-    for g in elements:
-        chk = sigma_group.characteristic_check(g, cfg)
-        worst_central = max(worst_central, abs(chk["theta_on_central"] - 1.0))
-        worst_char = max(worst_char, abs(chk["theta_on_zl_z"]),
-                         chk["dtheta_on_zl_z"], chk["dtheta_on_central"],
-                         abs(chk["theta_on_zl_nu1"]), abs(chk["theta_on_zl_eps1"]))
-        min_symplectic_contrast = min(min_symplectic_contrast,
-                                      chk["dtheta_on_zl_nu1"])
-        inv = sigma_group.noether_invariants(g, cfg)
-        zr3 = sigma_group.dual_field(g.chart(), "right", cfg)
-        expected = np.concatenate((
-            cfg.m * (zr3 @ g.nu - (g.z / cfg.R) * g.eps),
-            -cfg.m * g.eps,
-            [-cfg.m * cfg.R * (sigma_group.rho(g.chart(), cfg) - 1.0)]))
-        theta = sigma_group.quantization_form(g, cfg)
-        rf = sigma_group.right_fields(g, cfg)
-        contracted = np.array([theta @ rf[i] for i in range(7)])
-        worst_noether = max(worst_noether,
-                            float(np.max(np.abs(contracted - expected))),
-                            float(np.max(np.abs(contracted - inv))))
+    batch = sigma_group.sample_batch(rng, cfg, samples)
+    chk = sigma_group.characteristic_many(batch, cfg)
+    worst_central = float(np.max(np.abs(chk["theta_on_central"] - 1.0), initial=0.0))
+    worst_char = float(np.max([np.abs(chk["theta_on_zl_z"]), chk["dtheta_on_zl_z"],
+                               chk["dtheta_on_central"], np.abs(chk["theta_on_zl_nu1"]),
+                               np.abs(chk["theta_on_zl_eps1"])], initial=0.0))
+    min_symplectic_contrast = float(np.min(chk["dtheta_on_zl_nu1"], initial=math.inf))
+    worst_noether = float(np.max(np.abs(chk["theta_on_right"][:, :7]
+                                        - sigma_group.noether_many(batch, cfg)), initial=0.0))
     tol = rc.tol("theta_contraction")
     ok = (worst_central < tol and worst_char < tol
           and worst_noether < rc.tol("noether") and min_symplectic_contrast > 1e-3)

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from s3sigma import cli
 from s3sigma.cli import main
 
 
@@ -175,6 +176,14 @@ def test_bad_wavefn_label_is_usage_error():
     assert main(["wavefn", "--label", "1,5,0", "--out", "/tmp/x.csv"]) == 2
 
 
+def test_wavefn_without_out_fails_before_building_the_grid(monkeypatch, capsys):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the grid was built although nothing can be written")
+    monkeypatch.setattr(cli, "build_grid", no_grid)
+    assert main(["wavefn", "--grid", "64,64,64"]) == 2
+    assert "wavefn export needs --out" in capsys.readouterr().err
+
+
 def test_tolerance_flag_drives_exit_code(tmp_path):
     # an impossible tolerance flips the exit code to the residual failure
     out = tmp_path / "g.json"
@@ -183,3 +192,7 @@ def test_tolerance_flag_drives_exit_code(tmp_path):
     assert code == 1
     payload = json.loads(out.read_text())
     assert payload["check"]["passed"] is False
+    # groupcheck takes its flag from criteria 4 and 5, whose tolerances drive it too
+    for tol in ("bracket=1e-30", "lr_commute=1e-30", "associativity=1e-30"):
+        assert main(["groupcheck", "--samples", "40", "--tol", tol,
+                     "--out", str(tmp_path / "group.json")]) == 1, tol

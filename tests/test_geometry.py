@@ -115,22 +115,28 @@ def test_dual_field_polynomial_at_equator(cfg):
 # ---------------------------------------------------------------------------
 # numerical bracket structure constants
 
-def _field(side, i, cfg, sign):
-    def f(x):
-        return dual_field(ChartCoords(x, sign), side, cfg)[i]
-    return f
+def _frame_jacobian(side, cfg, c, h):
+    """Z at c and J[i, k, l] = d Z[i, k] / d x^l, from one stencil_gradient call."""
+    def frame(x):
+        return np.array([dual_field(ChartCoords(p, c.rho_sign), side, cfg).ravel()
+                         for p in x.reshape(-1, 3)]).reshape(x.shape[:-1] + (9,))
+    jac = numdiff.stencil_gradient(frame, c.eps, h).reshape(3, 3, 3)
+    return dual_field(c, side, cfg), jac
+
+
+def _bracket(zi, ji, zj, jj):
+    """[X, Y]^k = X^l d_l Y^k - Y^l d_l X^k from fields and Jacobians."""
+    return jj @ zi - ji @ zj
 
 
 @pytest.mark.parametrize("side,coef", [("right", -2.0), ("left", +2.0)])
 def test_frame_bracket_structure_constants(side, coef, cfg_odd, rng):
     h = 1e-5 * cfg_odd.R
     for c in sample_chart_points(rng, cfg_odd, 10, 0.7):
-        Z = dual_field(c, side, cfg_odd)
+        Z, J = _frame_jacobian(side, cfg_odd, c, h)
         for i in range(3):
             for j in range(3):
-                br = numdiff.vector_field_bracket(
-                    _field(side, i, cfg_odd, c.rho_sign),
-                    _field(side, j, cfg_odd, c.rho_sign), c.eps, h)
+                br = _bracket(Z[i], J[i], Z[j], J[j])
                 expected = (coef / cfg_odd.R) * np.einsum(
                     "k,kl->l", LEVI_CIVITA[:, i, j], Z)
                 np.testing.assert_allclose(br, expected, atol=1e-8)
@@ -139,11 +145,11 @@ def test_frame_bracket_structure_constants(side, coef, cfg_odd, rng):
 def test_left_right_fields_commute(cfg_odd, rng):
     h = 1e-5 * cfg_odd.R
     for c in sample_chart_points(rng, cfg_odd, 20, 0.7):
+        zl, jl = _frame_jacobian("left", cfg_odd, c, h)
+        zr, jr = _frame_jacobian("right", cfg_odd, c, h)
         for i in range(3):
             for j in range(3):
-                br = numdiff.vector_field_bracket(
-                    _field("left", i, cfg_odd, c.rho_sign),
-                    _field("right", j, cfg_odd, c.rho_sign), c.eps, h)
+                br = _bracket(zl[i], jl[i], zr[j], jr[j])
                 np.testing.assert_allclose(br, 0.0, atol=1e-8)
 
 

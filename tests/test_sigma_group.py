@@ -19,7 +19,7 @@ from s3sigma.sigma_group import (ElementBatch, bracket_table_report,
                                  group_axiom_residuals,
                                  measured_right_bracket_coefficients,
                                  mixed_bracket_residual, sample_elements)
-from s3sigma import numdiff
+from s3sigma import numdiff, sigma_group
 
 
 def elem(eps, nu, z, phi=0.0, sign=+1):
@@ -213,6 +213,79 @@ def test_right_bracket_table(cfg_odd, rng):
 def test_left_right_fields_commute(cfg, rng):
     for g in sample_elements(rng, cfg, 2):
         assert mixed_bracket_residual(g, cfg) < 1e-7
+
+
+def _cross(v):
+    return np.array([[0.0, v[2], -v[1]], [-v[2], 0.0, v[0]], [v[1], -v[0], 0.0]])
+
+
+def _reference_frames(y, sign, cfg):
+    """Left frame, right frame and Theta at coordinates y, per element in scalar arithmetic."""
+    R, m = cfg.R, cfg.m
+    eps, nu, z = y[0:3], y[3:6], float(y[6])
+    r = sign * math.sqrt(max(0.0, 1.0 - float(np.dot(eps, eps)) / (R * R)))
+    left = np.zeros((8, 8))
+    left[0:3, 0:3] = left[3:6, 3:6] = r * np.eye(3) - (-1.0 / R) * _cross(eps)
+    left[3:6, 6] = -eps / R
+    left[3:6, 7] = m * eps
+    left[6, 3:6] = eps / R
+    left[6, 6] = r
+    left[6, 7] = -m * R * (r - 1.0)
+    left[7, 7] = 1.0
+    right = np.zeros((8, 8))
+    right[0:3, 0:3] = r * np.eye(3) - (1.0 / R) * _cross(eps)
+    right[0:3, 3:6] = _cross(-nu) / R + (z / R) * np.eye(3)
+    right[0:3, 6] = -nu / R
+    right[0:3, 7] = m * nu
+    right[3:8, 3:8] = np.eye(5)
+    theta = np.zeros(8)
+    theta[3:6] = -m * eps
+    theta[6] = -m * R * (r - 1.0)
+    theta[7] = 1.0
+    return left, right, theta
+
+
+_RADIUS = st.one_of(st.floats(0.0, 0.95), st.floats(1.0 - 1e-3, 1.0 - 1e-4))
+_ELEMENT = st.tuples(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3), _RADIUS,
+                     st.sampled_from([-1, 1]),
+                     st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([0.5, 1.3, 3.0]), st.sampled_from([0.7, 1.0]),
+       st.lists(_ELEMENT, min_size=1, max_size=4))
+def test_frame_kernel_matches_scalar_reference_bit_for_bit(R, m, elements):
+    # whole chart ball and within 1e-3 R of the equator, both hemispheres;
+    # the stencils of every point stay inside the ball
+    cfg = SpaceConfig(R, m)
+    x, signs = [], []
+    for direction, fraction, sign, rest in elements:
+        d = np.array(direction)
+        if np.linalg.norm(d) < 1e-3:
+            d = np.array([0.0, 0.0, 1.0])
+        x.append(np.concatenate([R * fraction * d / np.linalg.norm(d), rest, [0.3]]))
+        signs.append(sign)
+    x, signs = np.array(x), np.array(signs)
+    steps = 1e-5 * np.array([R, R, R, 1.0, 1.0, 1.0, 1.0, 1.0])
+    left, right, theta = sigma_group._frames(x, signs, cfg)
+    fl, fr, jl, jr = sigma_group._frame_with_jacobian(x, signs, cfg)
+    dth = sigma_group._dtheta(x, signs, cfg)
+    for k, (y, sign) in enumerate(zip(x, signs)):
+        ref = _reference_frames(y, sign, cfg)
+        for got, want in zip((left[k], right[k], theta[k], fl[k], fr[k]), ref + ref[:2]):
+            assert np.array_equal(got, want)
+        for side, jac in enumerate((jl[k], jr[k])):
+            want = numdiff.jacobian(lambda v: _reference_frames(v, sign, cfg)[side], y, steps)
+            assert np.array_equal(jac, want)
+        jt = numdiff.jacobian(lambda v: _reference_frames(v, sign, cfg)[2], y, steps)
+        assert np.array_equal(dth[k], jt.T - jt)
+
+
+def test_frame_kernel_rejects_points_outside_the_chart_ball(cfg_odd):
+    for eps in ([0.0, 0.0, 1.5 * cfg_odd.R], [np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0]):
+        x = np.concatenate([eps, np.zeros(5)])[None]
+        with pytest.raises(DomainError):
+            sigma_group._frames(x, np.array([1]), cfg_odd)
 
 
 # ---------------------------------------------------------------------------
