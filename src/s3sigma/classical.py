@@ -16,10 +16,10 @@ import numpy as np
 
 from . import numdiff
 from .config import SpaceConfig
-from .errors import DomainError, StencilError
-from .geometry import (ChartCoords, LEVI_CIVITA, _heights, _metric, _metric_inverse,
-                       _off_equator, canonical_one_form, dual_field, metric, metric_inverse,
-                       rho, sample_chart_points)
+from .errors import DomainError
+from .geometry import (ChartCoords, LEVI_CIVITA, _check_stencil_margin, _heights, _metric,
+                       _metric_inverse, _off_equator, canonical_one_form, dual_field, metric,
+                       metric_inverse, rho, sample_chart_points)
 
 _REST_OMEGA = 1e-300
 
@@ -65,20 +65,26 @@ class SolutionPoint:
 
 @dataclass(eq=False)
 class Trajectory:
-    """Sampled geodesic run with per-sample conserved quantities."""
+    """Sampled geodesic run as embedded rows x, v (N, 4), |x| = R and x . v = 0,
+    with per-sample conserved quantities; state(k) is the chart view of sample k."""
 
     times: np.ndarray
-    states: list[PhaseState]
+    x: np.ndarray
+    v: np.ndarray
     energy: np.ndarray
     theta_right: np.ndarray
     theta_left: np.ndarray
     warnings: list[str] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if len(self.states) != len(self.times):
-            raise DomainError("times and states must have equal length")
+        if not len(self.times) == len(self.x) == len(self.v):
+            raise DomainError("times, x and v must have equal length")
         if np.any(np.diff(self.times) <= 0.0):
             raise DomainError("times must be strictly increasing")
+
+    def state(self, k: int) -> PhaseState:
+        """Sample k as a chart point and chart velocity."""
+        return _project(self.x[k], self.v[k])
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +97,6 @@ def _embed(state: PhaseState, cfg: SpaceConfig) -> tuple[np.ndarray, np.ndarray]
     needs the chart interior.
     """
     c = state.point
-    c.validate(cfg)
     r = _off_equator(rho(c, cfg))
     x = np.concatenate(([cfg.R * r], c.eps))
     v0 = -float(np.dot(c.eps, state.vel)) / (cfg.R * r)
@@ -99,7 +104,7 @@ def _embed(state: PhaseState, cfg: SpaceConfig) -> tuple[np.ndarray, np.ndarray]
     return x, v
 
 
-def _project(x: np.ndarray, v: np.ndarray, cfg: SpaceConfig) -> PhaseState:
+def _project(x: np.ndarray, v: np.ndarray) -> PhaseState:
     sign = +1 if x[0] >= 0.0 else -1
     return PhaseState(ChartCoords(x[1:].copy(), sign), v[1:].copy())
 
@@ -183,7 +188,7 @@ def geodesic_exact(init: PhaseState, t: float, cfg: SpaceConfig) -> PhaseState:
     c, s = math.cos(w * t), math.sin(w * t)
     x = x0 * c + (v0 / w) * s
     v = v0 * c - (w * x0) * s
-    return _project(x, v, cfg)
+    return _project(x, v)
 
 
 def closed_form_chart(init: PhaseState, t: float, omega: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -205,8 +210,7 @@ def _christoffel_many(eps: np.ndarray, rho_sign, cfg: SpaceConfig, h: float) -> 
 
     dg comes from one stencil gradient of the metric at all points.
     """
-    if np.any(np.linalg.norm(eps, axis=-1) + 2.0 * h > cfg.R * (1.0 - 1e-8)):
-        raise StencilError("Christoffel stencil would leave the chart")
+    _check_stencil_margin(eps, h, cfg, "Christoffel stencil would leave the chart")
     sign = np.broadcast_to(rho_sign, eps.shape[:-1])[:, None, None]
     jac = numdiff.stencil_gradient(
         lambda y: _metric(y, sign, cfg).reshape(y.shape[:-1] + (9,)), eps, h)
@@ -250,7 +254,8 @@ def geodesic_integrate(init: PhaseState, t_end: float, steps: int,
     The embedded acceleration is X'' = -(|V|^2/R^2) X; after every step
     the position is renormalized onto the sphere and the velocity is
     projected back onto the tangent plane.  Energy and both invariant
-    triples are logged at every sample.
+    triples are logged at every sample; a run is cut, with a warning,
+    before its first non-finite row (every later row is non-finite too).
     """
     if steps < 10:
         raise DomainError("steps must be at least 10")
@@ -271,9 +276,8 @@ def geodesic_integrate(init: PhaseState, t_end: float, steps: int,
     xs = np.empty((steps + 1, 4))
     vs = np.empty((steps + 1, 4))
     xs[0], vs[0] = x, v
-    filled = 1
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
+        for k in range(1, steps + 1):
             k1x, k1v = v, accel(x, v)
             x2, v2 = x + 0.5 * dt * k1x, v + 0.5 * dt * k1v
             k2x, k2v = v2, accel(x2, v2)
@@ -283,21 +287,20 @@ def geodesic_integrate(init: PhaseState, t_end: float, steps: int,
             k4x, k4v = v4, accel(x4, v4)
             x = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
             v = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
-                warnings.append(
-                    f"integration diverged at step {k + 1}; trajectory truncated")
-                break
             # Constraint maintenance: |X| = R and V tangent.
             x *= cfg.R / float(np.linalg.norm(x))
             v -= (float(x @ v) / R2) * x
-            xs[filled], vs[filled] = x, v
-            filled += 1
+            xs[k], vs[k] = x, v
 
-    xs, vs = xs[:filled], vs[:filled]
+    filled = steps + 1
+    diverged = np.flatnonzero(~np.isfinite(np.hstack((xs[1:], vs[1:]))).all(axis=1))
+    if diverged.size:
+        filled = int(diverged[0]) + 1
+        warnings.append(f"integration diverged at step {filled}; trajectory truncated")
+        xs, vs = xs[:filled], vs[:filled]
     th_r, th_l = _theta_from_embedding(xs, vs, cfg)
     energy = 0.5 * cfg.m * (vs[:, None, :] @ vs[:, :, None])[:, 0, 0]  # rounded as vv @ vv
-    return Trajectory(np.arange(filled) * dt, [_project(a, b, cfg) for a, b in zip(xs, vs)],
-                      energy, th_r, th_l, warnings)
+    return Trajectory(np.arange(filled) * dt, xs, vs, energy, th_r, th_l, warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -367,19 +370,13 @@ def poisson_bracket(f, g, at: SolutionPoint, cfg: SpaceConfig,
     f and g take (eps, pi) arrays and return scalars; all derivatives
     are 4th-order central differences taken at the solution point.
     """
-    if h_eps is None:
-        h_eps = numdiff.DEFAULT_REL_STEP * cfg.R
-    if h_pi is None:
-        h_pi = numdiff.DEFAULT_REL_STEP * max(1.0, float(np.linalg.norm(at.pi0)))
-    e0 = at.eps0
-    p0 = at.pi0
-    if float(np.linalg.norm(e0)) + 2.0 * h_eps > cfg.R * (1.0 - 1e-8):
-        raise StencilError("bracket stencil would leave the chart")
+    x, h = _stencil_steps(at, cfg, h_eps, h_pi)
+    e0, p0 = x[:3], x[3:]
 
     def df(func):
-        de = np.array([numdiff.partial(lambda x: func(x, p0), e0, i, h_eps)
+        de = np.array([numdiff.partial(lambda y: func(y, p0), e0, i, h[i])
                        for i in range(3)])
-        dp = np.array([numdiff.partial(lambda y: func(e0, y), p0, i, h_pi)
+        dp = np.array([numdiff.partial(lambda y: func(e0, y), p0, i, h[3 + i])
                        for i in range(3)])
         return de, dp
 
@@ -399,12 +396,14 @@ def _sample_solution_points(rng: np.random.Generator, cfg: SpaceConfig,
     return pts
 
 
-def _stencil_steps(at: SolutionPoint, cfg: SpaceConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The point as one (eps, pi) array and the default steps of its stencils."""
-    h_eps = numdiff.DEFAULT_REL_STEP * cfg.R
-    h_pi = numdiff.DEFAULT_REL_STEP * max(1.0, float(np.linalg.norm(at.pi0)))
-    if float(np.linalg.norm(at.eps0)) + 2.0 * h_eps > cfg.R * (1.0 - 1e-8):
-        raise StencilError("bracket stencil would leave the chart")
+def _stencil_steps(at: SolutionPoint, cfg: SpaceConfig, h_eps: float | None = None,
+                   h_pi: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The point as one (eps, pi) array and its stencil steps, the defaults where None."""
+    if h_eps is None:
+        h_eps = numdiff.DEFAULT_REL_STEP * cfg.R
+    if h_pi is None:
+        h_pi = numdiff.DEFAULT_REL_STEP * max(1.0, float(np.linalg.norm(at.pi0)))
+    _check_stencil_margin(at.eps0, h_eps, cfg, "bracket stencil would leave the chart")
     return np.concatenate([at.eps0, at.pi0]), np.array([h_eps] * 3 + [h_pi] * 3)
 
 

@@ -159,12 +159,8 @@ def cmd_geodesic(args) -> int:
         "warnings": traj.warnings,
     }
     if args.out:
-        rows = []
-        for i, st in enumerate(traj.states):
-            rows.append([float(traj.times[i]), *map(float, st.point.eps),
-                         *map(float, st.vel), float(traj.energy[i]),
-                         *map(float, traj.theta_right[i]),
-                         *map(float, traj.theta_left[i])])
+        rows = np.column_stack((traj.times, traj.x[:, 1:], traj.v[:, 1:], traj.energy,
+                                traj.theta_right, traj.theta_left)).tolist()
         write_csv(args.out + ".csv",
                   ["t", "eps1", "eps2", "eps3", "vel1", "vel2", "vel3", "H",
                    "thetaR1", "thetaR2", "thetaR3",

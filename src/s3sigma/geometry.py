@@ -65,9 +65,7 @@ class ChartCoords:
             raise DomainError("chart coordinates must be finite")
 
     def validate(self, cfg: SpaceConfig) -> None:
-        r = float(np.linalg.norm(self.eps))
-        if r > cfg.R * (1.0 + _UNIT_TOL):
-            raise DomainError(f"|eps| = {r} exceeds the chart radius R = {cfg.R}")
+        _heights(self.eps, self.rho_sign, cfg)
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,7 +86,6 @@ class S3Point:
 
     @classmethod
     def from_chart(cls, c: ChartCoords, cfg: SpaceConfig) -> "S3Point":
-        c.validate(cfg)
         r = rho(c, cfg)
         return cls(np.concatenate(([r], c.eps / cfg.R)))
 
@@ -121,10 +118,9 @@ def _heights(eps: np.ndarray, rho_sign, cfg: SpaceConfig) -> np.ndarray:
     rho_sign broadcasts against eps[..., 0].  DomainError when an eps
     leaves the chart ball, |eps|^2 / R^2 > 1 + 1e-12, or is not finite.
     """
-    s2 = np.asarray(_dot(eps, eps) / (cfg.R * cfg.R))
-    out = ~(s2 <= 1.0 + _UNIT_TOL)
-    if np.any(out):
-        raise DomainError(f"|eps| = {cfg.R * math.sqrt(s2[out][0])} exceeds "
+    s2 = _dot(eps, eps) / (cfg.R * cfg.R)
+    if not (s2 <= 1.0 + _UNIT_TOL).all():
+        raise DomainError(f"|eps| = {cfg.R * math.sqrt(np.max(s2))} exceeds "
                           f"the chart radius R = {cfg.R}")
     return rho_sign * np.sqrt(np.maximum(0.0, 1.0 - s2))
 
@@ -197,6 +193,14 @@ def _dual(eps: np.ndarray, r: np.ndarray, s: float, R: float) -> np.ndarray:
     return r[..., None, None] * np.eye(3) - (s / R) * cross_matrix(eps)
 
 
+def _check_stencil_margin(eps: np.ndarray, h: float, cfg: SpaceConfig, message: str) -> None:
+    """StencilError(message) when a stencil of step h around chart points eps (..., 3)
+    would reach |eps| > R (1 - 1e-8)."""
+    widest = math.sqrt(max(np.einsum("...i,...i->...", eps, eps).flat))  # max |eps|
+    if widest + 2.0 * h > cfg.R * (1.0 - 1e-8):
+        raise StencilError(message)
+
+
 def killing_residual(c: ChartCoords, field_fn, cfg: SpaceConfig,
                      h: float | None = None) -> float:
     """Max-norm of the metric Lie derivative along a chart vector field.
@@ -208,10 +212,8 @@ def killing_residual(c: ChartCoords, field_fn, cfg: SpaceConfig,
     if h is None:
         h = numdiff.DEFAULT_REL_STEP * cfg.R
     e = np.asarray(c.eps, dtype=float)
-    if float(np.linalg.norm(e)) + 2.0 * h > cfg.R * (1.0 - 1e-8):
-        raise StencilError(
-            "difference stencil would leave the chart; move the evaluation "
-            "point away from the equator")
+    _check_stencil_margin(e, h, cfg, "difference stencil would leave the chart; move "
+                          "the evaluation point away from the equator")
 
     sign = c.rho_sign
 

@@ -179,10 +179,9 @@ def geodesic_deviations(rc: RunConfig, init: classical.PhaseState,
         float(np.max(np.abs(traj.theta_right - traj.theta_right[0]))),
         float(np.max(np.abs(traj.theta_left - traj.theta_left[0]))))
     final_exact = classical.geodesic_exact(init, t_end, cfg)
-    final = traj.states[-1]
     endpoint = max(
-        float(np.max(np.abs(final_exact.point.eps - final.point.eps))) / cfg.R,
-        float(np.max(np.abs(final_exact.vel - final.vel))))
+        float(np.max(np.abs(final_exact.point.eps - traj.x[-1, 1:]))) / cfg.R,
+        float(np.max(np.abs(final_exact.vel - traj.v[-1, 1:]))))
     ok = (h_drift < rc.tol("h_drift") and th_drift < rc.tol("theta_drift")
           and endpoint < rc.tol("endpoint"))
     return h_drift, th_drift, endpoint, ok

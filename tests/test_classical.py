@@ -122,7 +122,7 @@ def test_integrator_matches_closed_form(cfg):
     t_end = 20.0 / w
     traj = geodesic_integrate(init, t_end, 2000, cfg)
     exact = geodesic_exact(init, t_end, cfg)
-    got = traj.states[-1]
+    got = traj.state(-1)
     assert np.max(np.abs(got.point.eps - exact.point.eps)) < 1e-8 * cfg.R
     assert np.max(np.abs(got.vel - exact.vel)) < 1e-8
 
@@ -149,21 +149,30 @@ def test_integrator_coarse_step_warns(cfg):
     assert any("omega*dt" in w for w in traj.warnings)
 
 
+def test_integrator_truncates_diverged_run(cfg):
+    traj = geodesic_integrate(state([0.1, 0, 0], [0, 1, 0]), 2000.0, 200, cfg)
+    assert len(traj.times) == 2
+    assert len(traj.warnings) == 2
+    assert traj.warnings[0].startswith("step too coarse")
+    assert traj.warnings[1] == "integration diverged at step 2; trajectory truncated"
+
+
 def test_trajectory_validation(cfg):
     from s3sigma import Trajectory
-    s = state([0.1, 0, 0], [0, 1, 0])
+    x = np.tile([1.0, 0.0, 0.0, 0.0], (3, 1))
+    v = np.tile([0.0, 0.0, 1.0, 0.0], (3, 1))
     with pytest.raises(DomainError):
-        Trajectory(np.array([0.0, 1.0, 0.5]), [s, s, s], np.zeros(3),
+        Trajectory(np.array([0.0, 1.0, 0.5]), x, v, np.zeros(3),
                    np.zeros((3, 3)), np.zeros((3, 3)))
     with pytest.raises(DomainError):
-        Trajectory(np.array([0.0, 1.0]), [s], np.zeros(2),
+        Trajectory(np.array([0.0, 1.0]), x[:1], v[:1], np.zeros(2),
                    np.zeros((2, 3)), np.zeros((2, 3)))
 
 
 def test_trajectory_invariant_log_matches_frames(cfg):
     init = state([0.15, 0.05, 0.0], [0.2, 0.9, -0.4])
     traj = geodesic_integrate(init, 1.0, 50, cfg)
-    th_r, th_l = invariant_velocities(traj.states[7], cfg)
+    th_r, th_l = invariant_velocities(traj.state(7), cfg)
     np.testing.assert_allclose(traj.theta_right[7], th_r, atol=1e-10)
     np.testing.assert_allclose(traj.theta_left[7], th_l, atol=1e-10)
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from s3sigma import (ChartBoundaryError, ChartCoords, DomainError, S3Point,
                      SpaceConfig, StencilError, canonical_one_form, dual_field,
                      killing_residual, metric, metric_inverse, rho)
+from s3sigma.classical import christoffel
 from s3sigma.geometry import LEVI_CIVITA, sample_chart_points
 from s3sigma import numdiff
 
@@ -39,6 +40,15 @@ def test_rho_sign_tracks_hemisphere(cfg):
 def test_rho_outside_ball_rejected(cfg):
     with pytest.raises(DomainError):
         rho(chart([1.5, 0, 0]), cfg)
+
+
+def test_validate_holds_the_chart_ball_bound_of_rho(cfg_odd):
+    # Inside |eps| <= R (1 + 1e-12) but outside |eps|^2 / R^2 <= 1 + 1e-12.
+    c = chart([cfg_odd.R * (1 + 7e-13), 0, 0])
+    with pytest.raises(DomainError):
+        c.validate(cfg_odd)
+    with pytest.raises(DomainError):
+        rho(c, cfg_odd)
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +186,8 @@ def test_killing_stencil_error_near_equator(cfg):
     c = chart([cfg.R * (1 - 1e-9), 0, 0])
     with pytest.raises(StencilError):
         killing_residual(c, lambda cc: np.array([1.0, 0.0, 0.0]), cfg)
+    with pytest.raises(StencilError):
+        christoffel(c, cfg)
 
 
 # ---------------------------------------------------------------------------
