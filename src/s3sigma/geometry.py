@@ -95,11 +95,14 @@ class S3Point:
 
 
 def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamilton product of quaternions held as (..., 4) arrays (q0, q1, q2, q3)."""
-    w = a[..., 0] * b[..., 0] - np.sum(a[..., 1:] * b[..., 1:], axis=-1)
-    v = (a[..., :1] * b[..., 1:] + b[..., :1] * a[..., 1:]
-         + np.cross(a[..., 1:], b[..., 1:]))
-    return np.concatenate([w[..., None], v], axis=-1)
+    """Hamilton product of quaternions held as (..., 4) arrays (q0, q1, q2, q3);
+    the vector part (a0 b_i + b0 a_i) + (a_j b_k - a_k b_j) is written by components."""
+    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)))
+    out[..., 0] = a[..., 0] * b[..., 0] - np.sum(a[..., 1:] * b[..., 1:], axis=-1)
+    for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+        out[..., i] = ((a[..., 0] * b[..., i] + b[..., 0] * a[..., i])
+                       + (a[..., j] * b[..., k] - a[..., k] * b[..., j]))
+    return out
 
 
 def rho(c: ChartCoords, cfg: SpaceConfig) -> float:

@@ -9,6 +9,9 @@ applied without truncation error.  Terms are a dict from exponent
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import product
+
 import numpy as np
 
 _DROP = 0.0  # coefficients exactly equal to zero are dropped
@@ -38,17 +41,6 @@ class QPoly:
         expo = [0, 0, 0, 0]
         expo[axis] = 1
         return cls({tuple(expo): 1.0})
-
-    @classmethod
-    def from_coeffs_1d(cls, axis: int, coeffs) -> "QPoly":
-        """Polynomial sum_k coeffs[k] * q_axis^k."""
-        terms = {}
-        for k, c in enumerate(coeffs):
-            if c != 0:
-                expo = [0, 0, 0, 0]
-                expo[axis] = k
-                terms[tuple(expo)] = c
-        return cls(terms)
 
     # -- algebra ------------------------------------------------------------
 
@@ -101,14 +93,6 @@ class QPoly:
     def degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 
-    def mul_variable(self, axis: int, power: int = 1) -> "QPoly":
-        out = {}
-        for expo, c in self.terms.items():
-            e = list(expo)
-            e[axis] += power
-            out[tuple(e)] = c
-        return QPoly(out)
-
     # -- evaluation ---------------------------------------------------------
 
     def __call__(self, q: np.ndarray):
@@ -138,20 +122,35 @@ def _power_table(q: np.ndarray, max_degree: int) -> list[list[np.ndarray]]:
     return pows
 
 
+#: nodes per block of the monomial rows held at once by `MonomialBasis`.
+_NODE_BLOCK = 4096
+
+
+@lru_cache(maxsize=None)
+def monomials(max_degree: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Every exponent 4-tuple of degree <= max_degree, in sorted order."""
+    return tuple(e for e in product(range(max_degree + 1), repeat=4)
+                 if sum(e) <= max_degree)
+
+
 class MonomialBasis:
-    """The distinct monomials of a family of polynomials and its coefficients.
+    """Monomials, and the coefficients of a family of polynomials on them.
 
     `coeffs[r, k]` is the coefficient of monomial `monos[k]` in
     polynomial r, so `coeffs @ rows(q)` (`values(q)`) evaluates the whole
     family.  Any linear operation on values (a difference stencil, a
     quadrature sum) can run on the real monomial rows once and meet the
-    complex coefficients at the end.
+    complex coefficients at the end.  The monomials are the distinct ones
+    of the family or, given `max_degree`, all of degree <= max_degree.
     """
 
     __slots__ = ("monos", "coeffs", "max_degree")
 
-    def __init__(self, polys: list[QPoly]):
-        self.monos = sorted({e for p in polys for e in p.terms})
+    def __init__(self, polys: list[QPoly], max_degree: int | None = None):
+        if max_degree is None:
+            self.monos = sorted({e for p in polys for e in p.terms})
+        else:
+            self.monos = list(monomials(max_degree))
         index = {e: k for k, e in enumerate(self.monos)}
         self.max_degree = max((sum(e) for e in self.monos), default=0)
         self.coeffs = np.zeros((len(polys), len(self.monos)), dtype=complex)
@@ -159,10 +158,20 @@ class MonomialBasis:
             for e, coef in p.terms.items():
                 self.coeffs[r, index[e]] = coef
 
-    def rows(self, q: np.ndarray) -> np.ndarray:
-        """Real monomial values at q (..., 4), shape (len(monos), points)."""
+    @classmethod
+    def from_coeffs(cls, monos: list, coeffs: np.ndarray) -> "MonomialBasis":
+        """The family with coefficient rows `coeffs` on the monomials `monos`."""
+        basis = cls.__new__(cls)
+        basis.monos, basis.coeffs = list(monos), coeffs
+        basis.max_degree = max((sum(e) for e in basis.monos), default=0)
+        return basis
+
+    def rows(self, q: np.ndarray, pows: list | None = None) -> np.ndarray:
+        """Real monomial values at q (..., 4), shape (len(monos), points);
+        pows is q's `_power_table` when the caller shares one."""
         q = np.asarray(q, dtype=float).reshape(-1, 4)
-        pows = _power_table(q, self.max_degree)
+        if pows is None:
+            pows = _power_table(q, self.max_degree)
         M = np.empty((len(self.monos), q.shape[0]))
         # The monomials are sorted, so those sharing the leading exponents
         # are adjacent and reuse one partial product, formed left to right
@@ -177,16 +186,20 @@ class MonomialBasis:
             prev = e
         return M
 
-    def values(self, q: np.ndarray) -> np.ndarray:
+    def values(self, q: np.ndarray, pows: list | None = None) -> np.ndarray:
         """Values of the family at q (..., 4), shape (len(polys), points).
 
-        The real and imaginary coefficients each meet the real rows in
-        one real product, so the rows are never copied as complex.
+        The nodes run in blocks of `_NODE_BLOCK`.  In each block the real
+        and imaginary coefficients meet the real rows in one real product
+        each, so the rows are never copied as complex.
         """
-        M = self.rows(q)
-        out = np.empty((self.coeffs.shape[0], M.shape[1]), dtype=complex)
-        out.real = self.coeffs.real @ M
-        out.imag = self.coeffs.imag @ M
+        q = np.asarray(q, dtype=float).reshape(-1, 4)
+        out = np.empty((self.coeffs.shape[0], q.shape[0]), dtype=complex)
+        for s in range(0, q.shape[0], _NODE_BLOCK):
+            b = slice(s, s + _NODE_BLOCK)
+            M = self.rows(q[b], None if pows is None else [[p[b] for p in col] for col in pows])
+            out.real[:, b] = self.coeffs.real @ M
+            out.imag[:, b] = self.coeffs.imag @ M
         return out
 
     def moment_matrix(self, q: np.ndarray, weight: np.ndarray) -> np.ndarray:
@@ -195,8 +208,12 @@ class MonomialBasis:
         With quadrature weights, <f, g> = conj(c_f) @ G @ c_g for any two
         members f, g of the family: the same sum in another order.
         """
-        M = self.rows(q)
-        return (M * weight) @ M.T
+        q = np.asarray(q, dtype=float).reshape(-1, 4)
+        G = np.zeros((len(self.monos),) * 2)
+        for s in range(0, q.shape[0], _NODE_BLOCK):
+            M = self.rows(q[s:s + _NODE_BLOCK])
+            G += (M * weight[s:s + _NODE_BLOCK]) @ M.T
+        return G
 
 
 def eval_many(polys: list[QPoly], q: np.ndarray) -> np.ndarray:
@@ -206,5 +223,4 @@ def eval_many(polys: list[QPoly], q: np.ndarray) -> np.ndarray:
     monomial basis is evaluated once, which is what makes large Gram
     matrices cheap.
     """
-    vals = MonomialBasis(polys).values(q)
-    return vals.reshape((len(polys),) + np.shape(q)[:-1])
+    return MonomialBasis(polys).values(q).reshape((len(polys),) + np.shape(q)[:-1])

@@ -2,9 +2,9 @@
 
 Wave functions are complex functions of the embedded point q; the
 eigenbasis functions are sphere restrictions of degree-n polynomials,
-so every operator below has an exact polynomial backend next to the
-finite-difference one.  Chart-coordinate conventions and layouts follow
-the geometry module.
+so every operator below has an exact polynomial backend, a sparse
+integer map on monomial coefficients, next to the finite-difference
+one.  Chart-coordinate conventions and layouts follow the geometry module.
 
 Operator dictionary (hbar = 1):
 
@@ -30,7 +30,7 @@ from . import numdiff
 from .config import SpaceConfig
 from .errors import DomainError
 from .geometry import LEVI_CIVITA, quat_mul, rho
-from .qpoly import MonomialBasis, QPoly, eval_many
+from .qpoly import MonomialBasis, QPoly, _power_table, eval_many, monomials
 from .quadrature import QuadGrid, build_grid, integrate_values
 from .specfun import gegenbauer_series_coefficients
 
@@ -112,13 +112,7 @@ def _solid_harmonic(l: int, m: int) -> QPoly:
 def _basis_polynomial_raw(n: int, l: int, m_z: int) -> QPoly:
     """Unnormalized basis polynomial: Gegenbauer in q0 times solid harmonic."""
     coeffs = gegenbauer_series_coefficients(l + 1.0, n - l)
-    radial = QPoly.from_coeffs_1d(0, coeffs)
-    return radial * _solid_harmonic(l, m_z)
-
-
-@lru_cache(maxsize=None)
-def _normalization_grid_orders(n: int) -> tuple[int, int, int]:
-    return (max(32, 2 * n + 10), max(24, 2 * n + 6), max(48, 4 * n + 8))
+    return QPoly({(k, 0, 0, 0): c for k, c in enumerate(coeffs)}) * _solid_harmonic(l, m_z)
 
 
 def basis_norm_constant(n: int, l: int, cfg: SpaceConfig) -> float:
@@ -137,7 +131,7 @@ def _normalization_grid(orders: tuple[int, int, int], R: float) -> QuadGrid:
 
 @lru_cache(maxsize=None)
 def _norm_constant(n: int, l: int, R: float) -> float:
-    grid = _normalization_grid(_normalization_grid_orders(n), R)
+    grid = _normalization_grid((max(32, 2 * n + 10), max(24, 2 * n + 6), max(48, 4 * n + 8)), R)
     vals = _basis_polynomial_raw(n, l, 0)(grid.q)
     norm2 = float(np.real(integrate_values(np.abs(vals) ** 2, grid)))
     return 1.0 / math.sqrt(norm2)
@@ -211,58 +205,89 @@ def psi(label: SpectralLabel, cfg: SpaceConfig) -> WaveFunction:
 
 # ---------------------------------------------------------------------------
 # polynomial operator backends
+#
+# On the monomials of degree <= d (`qpoly.monomials`), multiplication by
+# q_a (X_a) and the derivative d_b (D_b) each send a monomial to at most
+# one monomial, with an integer factor.  Every operator is an integer sum
+# of words in them, so an exact sparse matrix on monomial coefficients,
+# built once per d; R, m and i meet its image as one scalar.
 
-def _frame_poly(p: QPoly, axis: int, R: float, side: int) -> QPoly:
-    """Frame derivative Z[axis, k] d_k of a polynomial, exact.
+def _words(name: str, axis: int = 0) -> list[tuple[float, tuple[int, ...]]]:
+    """Operator `name` as (coefficient, word) terms; a word lists X_a as a
+    and D_b as 4 + b, as factors of a product, so its last letter acts first.
 
-    In embedded form: (1/R) [ (q0 d_axis + side eta_{k,axis,j} q_j d_k)
-    - q_axis d_0 ], with side +1 for the right frame and -1 for the left.
+    'right'/'left': R Z[axis, k] d_k = q0 d_axis +- eta_{k,axis,j} q_j d_k
+    - q_axis d_0; 'J': the raw rotation eps_{axis,j,k} q_j d_k; 'J2' =
+    -sum_a J_a J_a; 'nu2' = R^2 sum_a Z_a Z_a (right); 'X': q_axis; 'rho':
+    q0 - 1; 'lb': R^2 times the chart-formula Laplacian on its own terms,
+    -3 q_k d_k (k = 0..3) + (delta_km - q_k q_m) d_k d_m - 2 q0 q_k d_0 d_k
+    + (q1^2 + q2^2 + q3^2) d_0^2.
     """
-    out = QPoly.variable(0) * p.diff(axis + 1)
-    for k in range(3):
-        for j in range(3):
-            s = LEVI_CIVITA[k, axis, j]
-            if s:
-                out = out + (QPoly.variable(j + 1) * p.diff(k + 1)).scale(side * s)
-    out = out - QPoly.variable(axis + 1) * p.diff(0)
-    return out.scale(1.0 / R)
+    if name in ("right", "left"):
+        side = 1 if name == "right" else -1
+        return [(1, (0, 5 + axis)), (-1, (axis + 1, 4))] + [
+            (side * LEVI_CIVITA[k, axis, j], (j + 1, 5 + k))
+            for k in range(3) for j in range(3) if LEVI_CIVITA[k, axis, j]]
+    if name == "J":
+        return [(LEVI_CIVITA[axis, j, k], (j + 1, 5 + k))
+                for j in range(3) for k in range(3) if LEVI_CIVITA[axis, j, k]]
+    if name in ("J2", "nu2"):
+        sign, factor = (-1, "J") if name == "J2" else (1, "right")
+        return [(sign * ca * cb, wa + wb) for a in range(3)
+                for ca, wa in _words(factor, a) for cb, wb in _words(factor, a)]
+    if name == "lb":
+        return ([(-3, (k, 4 + k)) for k in range(4)] + [(1, (4 + k, 4 + k)) for k in (1, 2, 3)]
+                + [(-1, (k, l, 4 + k, 4 + l)) for k in (1, 2, 3) for l in (1, 2, 3)]
+                + [(-2, (0, k, 4, 4 + k)) for k in (1, 2, 3)] + [(1, (k, k, 4, 4)) for k in (1, 2, 3)])
+    return [(1, (axis,))] if name == "X" else [(1, (0,)), (-1, ())]
 
 
-def _j_raw_poly(p: QPoly, axis: int) -> QPoly:
-    """Rotation generator eps_{axis,j,k} eps_j d_k; radius independent."""
-    out = QPoly()
-    for j in range(3):
-        for k in range(3):
-            s = LEVI_CIVITA[axis, j, k]
-            if s:
-                out = out + (QPoly.variable(j + 1) * p.diff(k + 1)).scale(s)
-    return out
+class _SparseMap:
+    """`_words(name, axis)` as a matrix on the monomials of degree <= d, by rows of nonzeros."""
+
+    __slots__ = ("rows", "starts", "cols", "vals")
+
+    def __init__(self, d: int, name: str, axis: int = 0):
+        monos = np.array(monomials(d)).reshape(-1, 4)
+        n = len(monos)
+        # Letters as (target, factor) with a sink n, factor 0, for what leaves
+        # the monomials: an exponent of -1 reads the never-filled last slot.
+        lut = np.full((d + 2,) * 4, n)
+        lut[tuple(monos.T)] = np.arange(n)
+        letters = [(np.append(lut[tuple((monos + step * np.eye(4, dtype=int)[a]).T)], n),
+                    np.append(np.ones(n) if step > 0 else monos[:, a], 0.0))
+                   for step in (1, -1) for a in range(4)]
+        dense = np.zeros((n + 1, n + 1))
+        source = np.arange(n + 1)
+        for coef, word in _words(name, axis):
+            target, factor = source, np.ones(n + 1)
+            for letter in reversed(word):
+                t, f = letters[letter]
+                target, factor = t[target], factor * f[target]
+            np.add.at(dense, (target, source), coef * factor)
+        r, self.cols = np.nonzero(dense[:n, :n])
+        self.vals = dense[r, self.cols]
+        self.rows, self.starts = np.unique(r, return_index=True)
+
+    def __call__(self, c: np.ndarray) -> np.ndarray:
+        """Image of the coefficients c, of shape (monomials,) or (monomials, K)."""
+        out = np.zeros(c.shape, dtype=np.result_type(c, float))
+        if len(self.rows):
+            terms = self.vals.reshape((-1,) + (1,) * (c.ndim - 1)) * c[self.cols]
+            out[self.rows] = np.add.reduceat(terms, self.starts, axis=0)
+        return out
 
 
-def _laplace_beltrami_poly(p: QPoly, R: float) -> QPoly:
-    """Sphere Laplacian of a polynomial through the chart formula.
+_operator = lru_cache(maxsize=None)(_SparseMap)
 
-    Equals (1/R^2) [ -3 q.grad F - 3 q0 F_0 + (d_km - q_k q_m) F_km
-    - 2 q0 q_k F_0k + (1 - q0^2) F_00 ] with all derivatives ambient.
-    """
-    f0 = p.diff(0)
-    fk = [p.diff(k) for k in (1, 2, 3)]
-    out = QPoly()
-    for k in range(3):
-        out = out - (QPoly.variable(k + 1) * fk[k]).scale(3.0)
-    out = out - (QPoly.variable(0) * f0).scale(3.0)
-    for k in range(3):
-        for m_ in range(3):
-            fkm = fk[k].diff(m_ + 1)
-            if k == m_:
-                out = out + fkm
-            out = out - QPoly.variable(k + 1) * QPoly.variable(m_ + 1) * fkm
-    for k in range(3):
-        out = out - (QPoly.variable(0) * QPoly.variable(k + 1) * f0.diff(k + 1)).scale(2.0)
-    s2 = (QPoly.variable(1) * QPoly.variable(1) + QPoly.variable(2) * QPoly.variable(2)
-          + QPoly.variable(3) * QPoly.variable(3))
-    out = out + s2 * f0.diff(0)
-    return out.scale(1.0 / (R * R))
+
+def _mapped(wf: WaveFunction, scale, name: str, axis: int = 0,
+            raise_degree: int = 0) -> WaveFunction:
+    """scale times operator `name` applied to a polynomial wave function."""
+    d = wf.poly.degree + raise_degree
+    c = scale * _operator(d, name, axis)(MonomialBasis([wf.poly], d).coeffs[0])
+    monos = monomials(d)
+    return WaveFunction.from_poly(QPoly({monos[k]: c[k] for k in np.flatnonzero(c)}))
 
 
 # ---------------------------------------------------------------------------
@@ -418,26 +443,21 @@ def apply_nu(axis: int, wf: WaveFunction, cfg: SpaceConfig,
         raise DomainError("axis must be 0, 1 or 2")
     method = _resolve_method(wf, method)
     if method == "analytic":
-        return WaveFunction.from_poly(
-            _frame_poly(wf.poly, axis, cfg.R, +1).scale(-1j / cfg.m))
+        return _mapped(wf, -1j / (cfg.m * cfg.R), "right", axis)
     return _fd_operator(wf, lambda fn, q: (-1j / cfg.m) * _fd_frame_derivs(fn, q, cfg.R)[0][axis])
 
 
 def apply_position(which, wf: WaveFunction, cfg: SpaceConfig) -> WaveFunction:
     """Multiplication by eps_i (which = 0, 1, 2) or by rho - 1 (which = 'rho')."""
-    if which == "rho":
-        if wf.poly is not None:
-            factor = QPoly({(1, 0, 0, 0): 1.0, (0, 0, 0, 0): -1.0})
-            return WaveFunction.from_poly(wf.poly * factor)
-        fn = wf.eval_q
-        return WaveFunction(evaluator=lambda q: (np.asarray(q)[..., 0] - 1.0) * fn(q))
-    if which not in (0, 1, 2):
+    if which not in (0, 1, 2, "rho"):
         raise DomainError("which must be 0, 1, 2 or 'rho'")
     if wf.poly is not None:
-        return WaveFunction.from_poly(wf.poly.mul_variable(which + 1).scale(cfg.R))
+        return (_mapped(wf, 1.0, "rho", raise_degree=1) if which == "rho"
+                else _mapped(wf, cfg.R, "X", which + 1, raise_degree=1))
     fn = wf.eval_q
-    return WaveFunction(
-        evaluator=lambda q: cfg.R * np.asarray(q)[..., which + 1] * fn(q))
+    if which == "rho":
+        return WaveFunction(evaluator=lambda q: (np.asarray(q)[..., 0] - 1.0) * fn(q))
+    return WaveFunction(evaluator=lambda q: cfg.R * np.asarray(q)[..., which + 1] * fn(q))
 
 
 def apply_J(which, wf: WaveFunction, cfg: SpaceConfig, hermitian: bool = True,
@@ -450,19 +470,16 @@ def apply_J(which, wf: WaveFunction, cfg: SpaceConfig, hermitian: bool = True,
     """
     if which == "third":
         which = 2
-    if which == "squared":
-        total = None
-        for axis in range(3):
-            once = apply_J(axis, wf, cfg, hermitian=False, method=method)
-            twice = apply_J(axis, once, cfg, hermitian=False, method=method)
-            total = twice if total is None else _wf_add(total, twice)
-        return _wf_scale(total, -1.0)  # (-i J)^2 summed = -sum J_raw^2
-    if which not in (0, 1, 2):
+    if which not in (0, 1, 2, "squared"):
         raise DomainError("which must be 0, 1, 2, 'third' or 'squared'")
     method = _resolve_method(wf, method)
+    if which == "squared":
+        if method == "analytic":
+            return _mapped(wf, 1.0, "J2")
+        return _wf_sum([apply_J(a, apply_J(a, wf, cfg, False, method), cfg, False, method)
+                        for a in range(3)], -1.0)  # (-i J)^2 summed = -sum J_raw^2
     if method == "analytic":
-        p = _j_raw_poly(wf.poly, which)
-        return WaveFunction.from_poly(p.scale(-1j) if hermitian else p)
+        return _mapped(wf, -1j if hermitian else 1.0, "J", which)
 
     def raw(fn, q: np.ndarray) -> np.ndarray:
         # J_raw = (R/2) (right frame - left frame), regular everywhere.
@@ -477,17 +494,17 @@ def left_action_operator(axis: int, wf: WaveFunction, cfg: SpaceConfig,
     """Left-frame derivative operator Z_left[axis, k] d_k."""
     if axis not in (0, 1, 2):
         raise DomainError("axis must be 0, 1 or 2")
-    method = _resolve_method(wf, method)
-    if method == "analytic":
-        return WaveFunction.from_poly(_frame_poly(wf.poly, axis, cfg.R, -1))
+    if _resolve_method(wf, method) == "analytic":
+        return _mapped(wf, 1.0 / cfg.R, "left", axis)
     return _fd_operator(wf, lambda fn, q: _fd_frame_derivs(fn, q, cfg.R)[1][axis])
 
 
 def right_action_operator(axis: int, wf: WaveFunction, cfg: SpaceConfig,
                           method: str = "auto") -> WaveFunction:
     """Right-frame derivative operator Z_right[axis, k] d_k (= i m nu)."""
-    out = apply_nu(axis, wf, cfg, method)
-    return _wf_scale(out, 1j * cfg.m)
+    if axis in (0, 1, 2) and _resolve_method(wf, method) == "analytic":
+        return _mapped(wf, 1.0 / cfg.R, "right", axis)
+    return _wf_sum([apply_nu(axis, wf, cfg, method)], 1j * cfg.m)
 
 
 def apply_hamiltonian(wf: WaveFunction, cfg: SpaceConfig,
@@ -498,43 +515,27 @@ def apply_hamiltonian(wf: WaveFunction, cfg: SpaceConfig,
     'laplace_beltrami' backend applies the displayed second-order chart
     operator -(1/2m)[-(3/R^2) eps . d + (d^km - eps^k eps^m / R^2) d^2].
     """
-    if backend == "via_nu":
-        total = None
-        for axis in range(3):
-            once = apply_nu(axis, wf, cfg, method)
-            twice = apply_nu(axis, once, cfg, method)
-            total = twice if total is None else _wf_add(total, twice)
-        return _wf_scale(total, 0.5 * cfg.m)
-    if backend != "laplace_beltrami":
+    if backend not in ("via_nu", "laplace_beltrami"):
         raise DomainError("backend must be 'via_nu' or 'laplace_beltrami'")
-    method = _resolve_method(wf, method)
-    if method == "analytic":
-        p = _laplace_beltrami_poly(wf.poly, cfg.R)
-        return WaveFunction.from_poly(p.scale(-0.5 / cfg.m))
+    if _resolve_method(wf, method) == "analytic":
+        return _mapped(wf, -0.5 / (cfg.m * cfg.R ** 2), "nu2" if backend == "via_nu" else "lb")
+    if backend == "via_nu":
+        return _wf_sum([apply_nu(a, apply_nu(a, wf, cfg, method), cfg, method)
+                        for a in range(3)], 0.5 * cfg.m)
     return _fd_operator(wf, lambda fn, q: (-0.5 / cfg.m) * _fd_laplace_beltrami(fn, q, cfg.R))
 
 
-def _wf_add(a: WaveFunction, b: WaveFunction) -> WaveFunction:
-    if a.poly is not None and b.poly is not None:
-        return WaveFunction.from_poly(a.poly + b.poly)
-    fa, fb = a.eval_q, b.eval_q
-    return WaveFunction(evaluator=lambda q: fa(q) + fb(q))
-
-
-def _wf_scale(a: WaveFunction, s) -> WaveFunction:
-    if a.poly is not None:
-        return WaveFunction.from_poly(a.poly.scale(s))
-    fa = a.eval_q
-    return WaveFunction(evaluator=lambda q: s * fa(q))
+def _wf_sum(wfs: list[WaveFunction], s) -> WaveFunction:
+    """s times the sum of wave functions, on their evaluators."""
+    fns = [w.eval_q for w in wfs]
+    return WaveFunction(evaluator=lambda q: s * sum(fn(q) for fn in fns))
 
 
 # ---------------------------------------------------------------------------
 # quadrature-level diagnostics
 
 def inner_product(a: WaveFunction, b: WaveFunction, grid: QuadGrid) -> complex:
-    va = a.eval_q(grid.q)
-    vb = b.eval_q(grid.q)
-    return integrate_values(np.conj(va) * vb, grid)
+    return integrate_values(np.conj(a.eval_q(grid.q)) * b.eval_q(grid.q), grid)
 
 
 #: rows per block of the weighted Gram product, which bounds the
@@ -553,38 +554,35 @@ def gram_matrix(n_max: int, grid: QuadGrid, cfg: SpaceConfig):
     return labels, gram
 
 
-@lru_cache(maxsize=None)
-def _eigen_images(label: SpectralLabel, cfg: SpaceConfig) -> tuple[QPoly, ...]:
-    """psi, J^2 psi, J_3 psi and H psi (via nu) of a basis function."""
-    wf = psi(label, cfg)
-    return (wf.poly, apply_J("squared", wf, cfg).poly, apply_J("third", wf, cfg).poly,
-            apply_hamiltonian(wf, cfg, "via_nu", "analytic").poly)
-
-
 def eigen_residual_table(n_max: int, grid: QuadGrid, cfg: SpaceConfig,
                          backend: str = "analytic") -> list[dict]:
     """Rows (n, l, m_z, E, norm/H/J2/J3 residuals) for every label.
 
     backend 'analytic' uses the polynomial operators; 'fd' runs the
     finite-difference Laplace-Beltrami route for the energy residual
-    (the rotation residuals stay analytic).  Each label's psi and its
-    operator images are evaluated from their own monomial rows, and every
-    residual is a quadrature sum over those node values.
+    (the rotation residuals stay analytic).  One product per operator map
+    gives the coefficients of every label's image; each label's psi and
+    images are evaluated on the monomials they use, from one power table
+    of the nodes, and every residual is a quadrature sum of those values.
     """
     labels = labels_up_to(n_max)
     q = grid.q
-    if backend != "analytic":
+    basis = MonomialBasis([psi(lb, cfg).poly for lb in labels], n_max)
+    psi_c = basis.coeffs.T
+    images = [psi_c, _operator(n_max, "J2")(psi_c), -1j * _operator(n_max, "J", 2)(psi_c)]
+    if backend == "analytic":
+        images.append((-0.5 / (cfg.m * cfg.R ** 2)) * _operator(n_max, "nu2")(psi_c))
+    else:
         # The stencil is linear: difference the real monomial rows of all
         # labels once, then apply the coefficients.
-        basis = MonomialBasis([psi(lb, cfg).poly for lb in labels])
-        lap = basis.coeffs @ _fd_laplace_beltrami(basis.rows, q, cfg.R)
-        h_fd = (-0.5 / cfg.m) * lap
+        h_fd = (-0.5 / cfg.m) * (basis.coeffs @ _fd_laplace_beltrami(basis.rows, q, cfg.R))
+    images = np.stack(images)
+    pows = _power_table(q, n_max)
     rows = []
     for i, lb in enumerate(labels):
-        images = _eigen_images(lb, cfg)
-        if backend != "analytic":
-            images = images[:3]  # H psi comes from the stencil pass
-        vals, j2vals, j3vals, *h = MonomialBasis(images).values(q)
+        used = np.flatnonzero(np.any(images[:, :, i] != 0.0, axis=0))
+        own = MonomialBasis.from_coeffs([basis.monos[k] for k in used], images[:, used, i])
+        vals, j2vals, j3vals, *h = own.values(q, pows)
         e_n = energy(lb.n, cfg)
         diffs = np.stack([vals, (h[0] if h else h_fd[i]) - e_n * vals,
                           j2vals - lb.l * (lb.l + 1.0) * vals, j3vals - lb.m_z * vals])
@@ -603,47 +601,32 @@ def hermiticity_check(pair_count: int, grid: QuadGrid, cfg: SpaceConfig,
                       seed: int = 0, n_max: int = 4) -> dict:
     """Max |<a, Op b> - <Op a, b>| per operator over random basis pairs.
 
-    Every inner product is read as conj(c_f) @ G @ c_g from one moment
-    matrix G of the monomials of the sampled basis functions and their
-    operator images on the grid.
+    The operator maps give every image of the sampled basis functions,
+    on the monomials of degree <= n_max + 1 (the positions raise the
+    degree by one).  Every inner product is read as conj(c_f) @ G @ c_g
+    from one moment matrix G of those monomials.
     """
     rng = np.random.default_rng(seed)
     labels = labels_up_to(n_max)
-    ops = {
-        "nu_1": lambda w: apply_nu(0, w, cfg),
-        "nu_2": lambda w: apply_nu(1, w, cfg),
-        "nu_3": lambda w: apply_nu(2, w, cfg),
-        "eps_1": lambda w: apply_position(0, w, cfg),
-        "eps_2": lambda w: apply_position(1, w, cfg),
-        "eps_3": lambda w: apply_position(2, w, cfg),
-        "rho": lambda w: apply_position("rho", w, cfg),
-        "J_1": lambda w: apply_J(0, w, cfg),
-        "J_2": lambda w: apply_J(1, w, cfg),
-        "J_3": lambda w: apply_J(2, w, cfg),
-        "H": lambda w: apply_hamiltonian(w, cfg),
-    }
+    m, R = cfg.m, cfg.R
+    ops = {f"nu_{a + 1}": (-1j / (m * R), "right", a) for a in range(3)}  # (scalar, operator, axis)
+    ops.update({f"eps_{a}": (R, "X", a) for a in (1, 2, 3)}, rho=(1.0, "rho", 0))
+    ops.update({f"J_{a + 1}": (-1j, "J", a) for a in range(3)}, H=(-0.5 / (m * R * R), "nu2", 0))
     pairs = [[labels[int(i)] for i in rng.integers(0, len(labels), size=2)]
              for _ in range(pair_count)]
-    row = {}  # (label, operator name or None) -> row of the coefficient matrix
-    polys = []
-    for lb in dict.fromkeys(lb for pair in pairs for lb in pair):
-        wf = psi(lb, cfg)
-        row[lb, None] = len(polys)
-        polys.append(wf.poly)
-        for name, op in ops.items():
-            row[lb, name] = len(polys)
-            polys.append(op(wf).poly)
-    basis = MonomialBasis(polys)
-    coeffs = basis.coeffs
-    g_c = basis.moment_matrix(grid.q, grid.weight) @ coeffs.T
-
-    def inner(f: list, g: list) -> np.ndarray:
-        return np.sum(coeffs[f].conj() * g_c[:, g].T, axis=-1)
-
+    picked = {lb: k for k, lb in enumerate(dict.fromkeys(lb for pair in pairs for lb in pair))}
+    d = n_max + 1
+    basis = MonomialBasis([psi(lb, cfg).poly for lb in picked], d)
+    psi_c = basis.coeffs.T
+    coeffs = np.stack([psi_c] + [s * _operator(d, name, axis)(psi_c)
+                                 for s, name, axis in ops.values()])
+    g_c = basis.moment_matrix(grid.q, grid.weight) @ coeffs
+    a = [picked[lb] for lb, _ in pairs]
+    b = [picked[lb] for _, lb in pairs]
     worst = {}
-    for name in ops:
-        lhs = inner([row[a, None] for a, _ in pairs], [row[b, name] for _, b in pairs])
-        rhs = inner([row[a, name] for a, _ in pairs], [row[b, None] for _, b in pairs])
+    for k, name in enumerate(ops, start=1):
+        lhs = np.sum(coeffs[0][:, a].conj() * g_c[k][:, b], axis=0)
+        rhs = np.sum(coeffs[k][:, a].conj() * g_c[0][:, b], axis=0)
         worst[name] = float(np.max(np.abs(lhs - rhs), initial=0.0))
     worst["max"] = max(worst.values())
     return worst
@@ -657,22 +640,19 @@ def level_leakage(n: int, grid: QuadGrid, cfg: SpaceConfig,
     nu_a nu_b applied to each basis function of the level; all of them
     must stay inside the (n + 1)^2-dimensional eigenspace.
     """
-    if n_max is None:
-        n_max = n + 2
+    n_max = n + 2 if n_max is None else n_max
     others = [psi(lb, cfg).poly for lb in labels_up_to(n_max) if lb.n != n]
-    other_vals = eval_many(others, grid.q)
+    weighted = eval_many(others, grid.q).conj() * grid.weight
+    level = [psi(lb, cfg).poly for lb in labels_up_to(n) if lb.n == n]
+    psi_c = MonomialBasis(level, n).coeffs.T
+    s = -1j / (cfg.m * cfg.R)  # nu_a = s (R Z_a)
+    nu = [s * _operator(n, "right", a)(psi_c) for a in range(3)]
+    images = np.stack(nu + [-1j * _operator(n, "J", a)(psi_c) for a in range(3)]
+                      + [s * _operator(n, "right", a)(nu_b) for a in range(3) for nu_b in nu])
     worst = 0.0
-    for lb in labels_up_to(n):
-        if lb.n != n:
-            continue
-        wf = psi(lb, cfg)
-        images = [apply_nu(a, wf, cfg) for a in range(3)]
-        images += [apply_J(a, wf, cfg) for a in range(3)]
-        images += [apply_nu(a, apply_nu(b, wf, cfg), cfg)
-                   for a in range(3) for b in range(3)]
-        image_vals = eval_many([img.poly for img in images], grid.q)
-        overlaps = (other_vals.conj() * grid.weight) @ image_vals.T
-        worst = max(worst, float(np.max(np.abs(overlaps))))
+    for i in range(len(level)):
+        image_vals = MonomialBasis.from_coeffs(monomials(n), images[:, :, i]).values(grid.q)
+        worst = max(worst, float(np.max(np.abs(weighted @ image_vals.T))))
     return worst
 
 

@@ -196,3 +196,13 @@ def test_tolerance_flag_drives_exit_code(tmp_path):
     for tol in ("bracket=1e-30", "lr_commute=1e-30", "associativity=1e-30"):
         assert main(["groupcheck", "--samples", "40", "--tol", tol,
                      "--out", str(tmp_path / "group.json")]) == 1, tol
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy costs about 0.2 s to import; the package must not pull it in
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, s3sigma; sys.exit('scipy' in sys.modules or any("
+         "name.startswith('scipy.') for name in sys.modules))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -219,3 +219,27 @@ def test_round_trip_property(eps, sign):
     back = S3Point.from_chart(c, cfg).to_chart(cfg)
     assert np.max(np.abs(back.eps - c.eps)) < 1e-12
     assert back.rho_sign == sign
+
+
+def test_quat_mul_matches_cross_product_form_bit_for_bit(rng):
+    from s3sigma.geometry import quat_mul
+
+    def reference(a, b):
+        w = a[..., 0] * b[..., 0] - np.sum(a[..., 1:] * b[..., 1:], axis=-1)
+        v = (a[..., :1] * b[..., 1:] + b[..., :1] * a[..., 1:]
+             + np.cross(a[..., 1:], b[..., 1:]))
+        return np.concatenate([w[..., None], v], axis=-1)
+
+    def unit(shape, sign):
+        q = rng.normal(size=shape + (4,))
+        q /= np.linalg.norm(q, axis=-1, keepdims=True)
+        q[..., 0] = sign * np.abs(q[..., 0])
+        return q
+
+    for sa, sb in ((1, 1), (1, -1), (-1, -1)):  # both hemispheres
+        for shape_a, shape_b in (((1000,), (1000,)), ((61, 128), (61, 128)),
+                                 ((61, 1), (1, 128)), ((5,), ()), ((), ())):
+            a, b = unit(shape_a, sa), unit(shape_b, sb)
+            out = quat_mul(a, b)
+            assert out.shape == np.broadcast_shapes(a.shape, b.shape)
+            assert np.array_equal(out, reference(a, b))

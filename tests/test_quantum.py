@@ -7,7 +7,8 @@ from s3sigma import (DomainError, SpaceConfig, SpectralLabel, apply_hamiltonian,
                      apply_J, apply_nu, apply_position, contraction_study,
                      left_action_operator, psi, spectrum)
 from s3sigma.quadrature import build_grid, exact_volume, integrate_values
-from s3sigma.qpoly import MonomialBasis, eval_many
+from s3sigma.geometry import LEVI_CIVITA
+from s3sigma.qpoly import MonomialBasis, QPoly, eval_many, monomials
 from s3sigma import quantum
 from s3sigma.quantum import (SmoothBump, WaveFunction, basis_norm_constant,
                              closed_form_norm_constant,
@@ -524,3 +525,141 @@ def test_polarized_lift_reduces_to_operator_dictionary(rng):
         for i in range(3):
             nu_val = complex(apply_nu(i, phi_wf, cfg).eval_q(q))
             assert abs(rf[i] @ grad - 1j * cfg.m * nu_val * prefactor) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# operator maps on monomial coefficients
+
+def _ref_frame(p, axis, R, side):
+    """Frame derivative in the QPoly algebra: the reference for the maps."""
+    out = QPoly.variable(0) * p.diff(axis + 1)
+    for k in range(3):
+        for j in range(3):
+            s = LEVI_CIVITA[k, axis, j]
+            if s:
+                out = out + (QPoly.variable(j + 1) * p.diff(k + 1)).scale(side * s)
+    out = out - QPoly.variable(axis + 1) * p.diff(0)
+    return out.scale(1.0 / R)
+
+
+def _ref_j_raw(p, axis):
+    out = QPoly()
+    for j in range(3):
+        for k in range(3):
+            s = LEVI_CIVITA[axis, j, k]
+            if s:
+                out = out + (QPoly.variable(j + 1) * p.diff(k + 1)).scale(s)
+    return out
+
+
+def _ref_laplace_beltrami(p, R):
+    f0 = p.diff(0)
+    fk = [p.diff(k) for k in (1, 2, 3)]
+    out = QPoly()
+    for k in range(3):
+        out = out - (QPoly.variable(k + 1) * fk[k]).scale(3.0)
+    out = out - (QPoly.variable(0) * f0).scale(3.0)
+    for k in range(3):
+        for m_ in range(3):
+            fkm = fk[k].diff(m_ + 1)
+            if k == m_:
+                out = out + fkm
+            out = out - QPoly.variable(k + 1) * QPoly.variable(m_ + 1) * fkm
+    for k in range(3):
+        out = out - (QPoly.variable(0) * QPoly.variable(k + 1) * f0.diff(k + 1)).scale(2.0)
+    s2 = (QPoly.variable(1) * QPoly.variable(1) + QPoly.variable(2) * QPoly.variable(2)
+          + QPoly.variable(3) * QPoly.variable(3))
+    out = out + s2 * f0.diff(0)
+    return out.scale(1.0 / (R * R))
+
+
+def _ref_images(p, cfg):
+    """name -> image polynomial, composed in the QPoly algebra."""
+    R, m = cfg.R, cfg.m
+    nu = [_ref_frame(p, a, R, +1).scale(-1j / m) for a in range(3)]
+    out = {f"nu_{a}": nu[a] for a in range(3)}
+    out.update({f"left_{a}": _ref_frame(p, a, R, -1) for a in range(3)})
+    out.update({f"J_{a}": _ref_j_raw(p, a).scale(-1j) for a in range(3)})
+    j2 = QPoly()
+    h = QPoly()
+    for a in range(3):
+        j2 = j2 + _ref_j_raw(_ref_j_raw(p, a), a)
+        h = h + _ref_frame(nu[a], a, R, +1).scale(-1j / m)
+    out["J2"] = j2.scale(-1.0)
+    out["H_via_nu"] = h.scale(0.5 * m)
+    out["H_lb"] = _ref_laplace_beltrami(p, R).scale(-0.5 / m)
+    return out
+
+
+def _mapped_images(wf, cfg):
+    out = {f"nu_{a}": apply_nu(a, wf, cfg) for a in range(3)}
+    out.update({f"left_{a}": left_action_operator(a, wf, cfg) for a in range(3)})
+    out.update({f"J_{a}": apply_J(a, wf, cfg) for a in range(3)})
+    out["J2"] = apply_J("squared", wf, cfg)
+    out["H_via_nu"] = apply_hamiltonian(wf, cfg, "via_nu", "analytic")
+    out["H_lb"] = apply_hamiltonian(wf, cfg, "laplace_beltrami", "analytic")
+    return {name: img.poly for name, img in out.items()}
+
+
+@pytest.mark.parametrize("cfg", [SpaceConfig(1.0, 1.0), SpaceConfig(1.3, 0.7)],
+                         ids=["R1-m1", "R1.3-m0.7"])
+def test_operator_maps_match_qpoly_algebra(cfg):
+    # every label with n <= 6; relative to the largest reference coefficient
+    for lb in labels_up_to(6):
+        wf = psi(lb, cfg)
+        ref = _ref_images(wf.poly, cfg)
+        for name, got in _mapped_images(wf, cfg).items():
+            want = ref[name]
+            keys = set(want.terms) | set(got.terms)
+            scale = max((abs(c) for c in want.terms.values()), default=0.0)
+            diff = max((abs(got.terms.get(e, 0.0) - want.terms.get(e, 0.0)) for e in keys),
+                       default=0.0)
+            assert diff <= 1e-15 * scale, (lb, name, diff, scale)
+
+
+def test_operator_map_positions_are_exact():
+    cfg = SpaceConfig(1.3, 0.7)
+    for lb in labels_up_to(4):
+        p = psi(lb, cfg).poly
+        for axis in range(3):
+            want = (QPoly.variable(axis + 1) * p).scale(cfg.R)
+            assert apply_position(axis, psi(lb, cfg), cfg).poly.terms == want.terms
+        want = p * QPoly({(1, 0, 0, 0): 1.0, (0, 0, 0, 0): -1.0})
+        got = apply_position("rho", psi(lb, cfg), cfg).poly
+        assert set(got.terms) == set(want.terms)
+        for e, c in want.terms.items():
+            assert got.terms[e] == c
+
+
+def _matrix(d, name, axis=0):
+    """Integer matrix of an operator map on the monomials of degree <= d."""
+    return quantum._operator(d, name, axis)(np.eye(len(monomials(d))))
+
+
+@pytest.mark.parametrize("d", [3, 6])
+def test_operator_map_commutator_tables(d):
+    # R Z and the raw rotations are integer matrices on the monomials, so
+    # every commutator holds exactly, with no quadrature and no rounding.
+    right = [_matrix(d, "right", a) for a in range(3)]
+    left = [_matrix(d, "left", a) for a in range(3)]
+    j_raw = [_matrix(d, "J", a) for a in range(3)]
+    nu2 = _matrix(d, "nu2")
+    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        # hermitized J = -i J_raw: [J_a, J_b] = i J_c  <=>  [J_raw_a, J_raw_b] = -J_raw_c
+        assert np.array_equal(j_raw[a] @ j_raw[b] - j_raw[b] @ j_raw[a], -j_raw[c])
+        # Z = (1/R) (R Z): the right frames close with -2/R, the left with +2/R
+        assert np.array_equal(right[a] @ right[b] - right[b] @ right[a], -2.0 * right[c])
+        assert np.array_equal(left[a] @ left[b] - left[b] @ left[a], 2.0 * left[c])
+    for a in range(3):
+        for b in range(3):
+            assert not np.any(right[a] @ left[b] - left[b] @ right[a])
+        # H = -(1/2m R^2) nu2 commutes with every J_a and both frames
+        for op in (j_raw[a], right[a], left[a]):
+            assert not np.any(nu2 @ op - op @ nu2)
+    # J^2 is -sum J_raw^2; the chart-formula Laplacian, built from its own
+    # words, is rotation invariant too
+    assert np.array_equal(_matrix(d, "J2"), -sum(j @ j for j in j_raw))
+    lb = _matrix(d, "lb")
+    assert np.any(lb != nu2)
+    for j in j_raw:
+        assert not np.any(lb @ j - j @ lb)
