@@ -122,8 +122,14 @@ def _power_table(q: np.ndarray, max_degree: int) -> list[list[np.ndarray]]:
     return pows
 
 
-#: nodes per block of the monomial rows held at once by `MonomialBasis`.
+#: nodes per block of the monomial rows held at once by `MonomialBasis`
+#: and by the quadrature sums of the quantum checks.
 _NODE_BLOCK = 4096
+
+
+def node_blocks(count: int) -> list[slice]:
+    """Slices of `_NODE_BLOCK` nodes, in order, covering `count` nodes."""
+    return [slice(s, s + _NODE_BLOCK) for s in range(0, count, _NODE_BLOCK)]
 
 
 @lru_cache(maxsize=None)
@@ -195,8 +201,7 @@ class MonomialBasis:
         """
         q = np.asarray(q, dtype=float).reshape(-1, 4)
         out = np.empty((self.coeffs.shape[0], q.shape[0]), dtype=complex)
-        for s in range(0, q.shape[0], _NODE_BLOCK):
-            b = slice(s, s + _NODE_BLOCK)
+        for b in node_blocks(q.shape[0]):
             M = self.rows(q[b], None if pows is None else [[p[b] for p in col] for col in pows])
             out.real[:, b] = self.coeffs.real @ M
             out.imag[:, b] = self.coeffs.imag @ M
@@ -210,9 +215,9 @@ class MonomialBasis:
         """
         q = np.asarray(q, dtype=float).reshape(-1, 4)
         G = np.zeros((len(self.monos),) * 2)
-        for s in range(0, q.shape[0], _NODE_BLOCK):
-            M = self.rows(q[s:s + _NODE_BLOCK])
-            G += (M * weight[s:s + _NODE_BLOCK]) @ M.T
+        for b in node_blocks(q.shape[0]):
+            M = self.rows(q[b])
+            G += (M * weight[b]) @ M.T
         return G
 
 
@@ -220,7 +225,6 @@ def eval_many(polys: list[QPoly], q: np.ndarray) -> np.ndarray:
     """Evaluate a family of polynomials on shared points.
 
     Returns an array of shape (len(polys),) + q.shape[:-1].  The shared
-    monomial basis is evaluated once, which is what makes large Gram
-    matrices cheap.
+    monomial basis is evaluated once for the whole family.
     """
     return MonomialBasis(polys).values(q).reshape((len(polys),) + np.shape(q)[:-1])

@@ -30,7 +30,7 @@ from . import numdiff
 from .config import SpaceConfig
 from .errors import DomainError
 from .geometry import LEVI_CIVITA, quat_mul, rho
-from .qpoly import MonomialBasis, QPoly, _power_table, eval_many, monomials
+from .qpoly import MonomialBasis, QPoly, _power_table, eval_many, monomials, node_blocks
 from .quadrature import QuadGrid, build_grid, integrate_values
 from .specfun import gegenbauer_series_coefficients
 
@@ -131,8 +131,23 @@ def _normalization_grid(orders: tuple[int, int, int], R: float) -> QuadGrid:
 
 @lru_cache(maxsize=None)
 def _norm_constant(n: int, l: int, R: float) -> float:
+    """1 / ||raw||, with the raw polynomial's values formed per node block.
+
+    Each real monomial row meets the real and imaginary coefficient parts
+    in the polynomial's term order: the bits of `QPoly.__call__` up to
+    the sign of zeros, which |vals| drops.
+    """
     grid = _normalization_grid((max(32, 2 * n + 10), max(24, 2 * n + 6), max(48, 4 * n + 8)), R)
-    vals = _basis_polynomial_raw(n, l, 0)(grid.q)
+    raw = _basis_polynomial_raw(n, l, 0)
+    basis = MonomialBasis([raw])
+    terms = [(basis.monos.index(e), c.real, c.imag) for e, c in raw.terms.items()]
+    vals = np.zeros(len(grid), dtype=complex)
+    for b in node_blocks(len(grid)):
+        M = basis.rows(grid.q[b])
+        re, im = vals.real[b], vals.imag[b]
+        for k, c_re, c_im in terms:
+            re += c_re * M[k]
+            im += c_im * M[k]
     norm2 = float(np.real(integrate_values(np.abs(vals) ** 2, grid)))
     return 1.0 / math.sqrt(norm2)
 
@@ -538,19 +553,21 @@ def inner_product(a: WaveFunction, b: WaveFunction, grid: QuadGrid) -> complex:
     return integrate_values(np.conj(a.eval_q(grid.q)) * b.eval_q(grid.q), grid)
 
 
-#: rows per block of the weighted Gram product, which bounds the
-#: weighted copy of the values held at once.
-_GRAM_BLOCK = 16
-
-
 def gram_matrix(n_max: int, grid: QuadGrid, cfg: SpaceConfig):
-    """Labels and Gram matrix of the orthonormal basis through n_max."""
+    """Labels and Gram matrix of the orthonormal basis through n_max.
+
+    The quadrature sum runs over node blocks, as `moment_matrix` does:
+    only one block's values of the basis are held at once.
+    """
     labels = labels_up_to(n_max)
-    polys = [psi(lb, cfg).poly for lb in labels]
-    vals = eval_many(polys, grid.q)
-    gram = np.empty((len(labels), len(labels)), dtype=complex)
-    for s in range(0, len(labels), _GRAM_BLOCK):
-        gram[s:s + _GRAM_BLOCK] = (vals[s:s + _GRAM_BLOCK].conj() * grid.weight) @ vals.T
+    basis = MonomialBasis([psi(lb, cfg).poly for lb in labels])
+    gram = np.zeros((len(labels), len(labels)), dtype=complex)
+    for b in node_blocks(len(grid)):
+        vals = basis.values(grid.q[b])
+        weighted = vals.conj()
+        weighted *= grid.weight[b]
+        gram += weighted @ vals.T
+        del vals, weighted  # freed before the next block's values are formed
     return labels, gram
 
 

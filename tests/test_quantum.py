@@ -120,6 +120,20 @@ def test_orthonormality(grid):
     np.testing.assert_allclose(gram, np.eye(len(labels)), atol=1e-9)
 
 
+@pytest.mark.parametrize("cfg", [SpaceConfig(1.0, 1.0), SpaceConfig(1.3, 0.7)],
+                         ids=["R1-m1", "R1.3-m0.7"])
+def test_gram_matrix_matches_whole_vector_reference(cfg):
+    # The node-block sum against all values of the basis at once, in one
+    # weighted product.
+    grid = build_grid(32, 16, 32, cfg)
+    labels, gram = gram_matrix(5, grid, cfg)
+    vals = eval_many([psi(lb, cfg).poly for lb in labels], grid.q)
+    ref = (vals.conj() * grid.weight) @ vals.T
+    assert len(labels) == 91
+    assert np.max(np.abs(gram - ref)) < 1e-15
+    assert np.max(np.abs(gram - gram.conj().T)) < 1e-15
+
+
 def test_basis_level_cap():
     with pytest.raises(DomainError):
         psi(SpectralLabel(13, 0, 0), CFG)
@@ -312,6 +326,20 @@ def test_norm_constant_cached_per_radius_only(monkeypatch):
     assert basis_norm_constant(3, 1, SpaceConfig(1.1, 2.5)) == first
 
 
+@pytest.mark.parametrize("R", [1.0, 1.3, 0.7])
+def test_norm_constant_equals_qpoly_evaluation_exactly(R):
+    # Reference: the raw polynomial through `QPoly.__call__` on the
+    # constant's quadrature grid, then one quadrature sum of |vals|^2.
+    for n in range(quantum.MAX_BASIS_LEVEL + 1):
+        grid = build_grid(max(32, 2 * n + 10), max(24, 2 * n + 6), max(48, 4 * n + 8),
+                          SpaceConfig(R))
+        for l in range(n + 1):
+            raw = quantum._basis_polynomial_raw(n, l, 0)
+            ref = 1.0 / math.sqrt(float(np.real(
+                integrate_values(np.abs(raw(grid.q)) ** 2, grid))))
+            assert basis_norm_constant(n, l, SpaceConfig(R)) == ref, (n, l)
+
+
 def _reference_residual_table(n_max, grid, cfg, backend):
     """One QPoly call and one quadrature sum per residual and label."""
     labels = labels_up_to(n_max)
@@ -380,6 +408,24 @@ def test_residual_table_memory_is_per_label():
         tracemalloc.stop()
     assert len(rows) == 140
     assert peak < 20e6, f"peak traced memory {peak / 1e6:.1f} MB"
+
+
+def test_gram_matrix_memory_is_per_node_block():
+    # The values of all 91 functions on the 16,384 nodes are 23.9 MB
+    # complex; one node block of them, and its weighted copy, a quarter.
+    import tracemalloc
+
+    cfg = SpaceConfig(1.0, 1.0)
+    grid = build_grid(32, 16, 32, cfg)
+    gram_matrix(5, grid, cfg)  # fill the grid and norm caches
+    tracemalloc.start()
+    try:
+        labels, _ = gram_matrix(5, grid, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(labels) == 91
+    assert peak < 16e6, f"peak traced memory {peak / 1e6:.1f} MB"
 
 
 # ---------------------------------------------------------------------------
