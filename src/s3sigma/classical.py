@@ -247,15 +247,52 @@ def geodesic_equation_residual(init: PhaseState, times, cfg: SpaceConfig,
     return float(np.max(np.abs(res), initial=0.0))
 
 
+def _rk4_step(s: tuple, dt: float, R2: float) -> tuple:
+    """One classic RK4 step of X' = V, V' = -(|V|^2/R^2) X on the eight floats (X, V).
+
+    Stage j (2 to 4) sits at position y with velocity uj; aj is the
+    acceleration of stage j (1 to 4), and the last digit of a name is the
+    component.  Every product and sum is a Python float operation, left
+    to right, so a step rounds the same on every IEEE host.
+    """
+    x0, x1, x2, x3, v0, v1, v2, v3 = s
+    h = 0.5 * dt
+    c = -((v0 * v0 + v1 * v1 + v2 * v2 + v3 * v3) / R2)
+    a10, a11, a12, a13 = c * x0, c * x1, c * x2, c * x3
+    y0, y1, y2, y3 = x0 + h * v0, x1 + h * v1, x2 + h * v2, x3 + h * v3
+    u20, u21, u22, u23 = v0 + h * a10, v1 + h * a11, v2 + h * a12, v3 + h * a13
+    c = -((u20 * u20 + u21 * u21 + u22 * u22 + u23 * u23) / R2)
+    a20, a21, a22, a23 = c * y0, c * y1, c * y2, c * y3
+    y0, y1, y2, y3 = x0 + h * u20, x1 + h * u21, x2 + h * u22, x3 + h * u23
+    u30, u31, u32, u33 = v0 + h * a20, v1 + h * a21, v2 + h * a22, v3 + h * a23
+    c = -((u30 * u30 + u31 * u31 + u32 * u32 + u33 * u33) / R2)
+    a30, a31, a32, a33 = c * y0, c * y1, c * y2, c * y3
+    y0, y1, y2, y3 = x0 + dt * u30, x1 + dt * u31, x2 + dt * u32, x3 + dt * u33
+    u40, u41, u42, u43 = v0 + dt * a30, v1 + dt * a31, v2 + dt * a32, v3 + dt * a33
+    c = -((u40 * u40 + u41 * u41 + u42 * u42 + u43 * u43) / R2)
+    a40, a41, a42, a43 = c * y0, c * y1, c * y2, c * y3
+    w = dt / 6.0
+    return (x0 + w * (v0 + 2.0 * u20 + 2.0 * u30 + u40),
+            x1 + w * (v1 + 2.0 * u21 + 2.0 * u31 + u41),
+            x2 + w * (v2 + 2.0 * u22 + 2.0 * u32 + u42),
+            x3 + w * (v3 + 2.0 * u23 + 2.0 * u33 + u43),
+            v0 + w * (a10 + 2.0 * a20 + 2.0 * a30 + a40),
+            v1 + w * (a11 + 2.0 * a21 + 2.0 * a31 + a41),
+            v2 + w * (a12 + 2.0 * a22 + 2.0 * a32 + a42),
+            v3 + w * (a13 + 2.0 * a23 + 2.0 * a33 + a43))
+
+
 def geodesic_integrate(init: PhaseState, t_end: float, steps: int,
                        cfg: SpaceConfig) -> Trajectory:
     """Classic one-step 4th-order run of the embedded geodesic equation.
 
     The embedded acceleration is X'' = -(|V|^2/R^2) X; after every step
     the position is renormalized onto the sphere and the velocity is
-    projected back onto the tangent plane.  Energy and both invariant
-    triples are logged at every sample; a run is cut, with a warning,
-    before its first non-finite row (every later row is non-finite too).
+    projected back onto the tangent plane.  The state is eight Python
+    floats and each sample one (x, v) row of a preallocated buffer.  Energy
+    and both invariant triples are logged at every sample; a run is cut,
+    with a warning, before its first non-finite row (every later row is
+    non-finite too).
     """
     if steps < 10:
         raise DomainError("steps must be at least 10")
@@ -268,29 +305,19 @@ def geodesic_integrate(init: PhaseState, t_end: float, steps: int,
             f"step too coarse: omega*dt = {w * abs(dt):.3g} > 0.5, expect "
             "degraded accuracy")
 
-    R2 = cfg.R * cfg.R
-
-    def accel(xx: np.ndarray, vv: np.ndarray) -> np.ndarray:
-        return -(float(vv @ vv) / R2) * xx
-
-    xs = np.empty((steps + 1, 4))
-    vs = np.empty((steps + 1, 4))
-    xs[0], vs[0] = x, v
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, steps + 1):
-            k1x, k1v = v, accel(x, v)
-            x2, v2 = x + 0.5 * dt * k1x, v + 0.5 * dt * k1v
-            k2x, k2v = v2, accel(x2, v2)
-            x3, v3 = x + 0.5 * dt * k2x, v + 0.5 * dt * k2v
-            k3x, k3v = v3, accel(x3, v3)
-            x4, v4 = x + dt * k3x, v + dt * k3v
-            k4x, k4v = v4, accel(x4, v4)
-            x = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-            v = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-            # Constraint maintenance: |X| = R and V tangent.
-            x *= cfg.R / float(np.linalg.norm(x))
-            v -= (float(x @ v) / R2) * x
-            xs[k], vs[k] = x, v
+    R, R2 = cfg.R, cfg.R * cfg.R
+    s = tuple(x.tolist() + v.tolist())
+    rows = np.empty((steps + 1, 8))
+    rows[0] = s
+    for k in range(1, steps + 1):
+        x0, x1, x2, x3, v0, v1, v2, v3 = _rk4_step(s, dt, R2)
+        # Constraint maintenance: |X| = R and V tangent.
+        f = R / math.sqrt(x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3)
+        x0, x1, x2, x3 = f * x0, f * x1, f * x2, f * x3
+        p = (x0 * v0 + x1 * v1 + x2 * v2 + x3 * v3) / R2
+        s = (x0, x1, x2, x3, v0 - p * x0, v1 - p * x1, v2 - p * x2, v3 - p * x3)
+        rows[k] = s
+    xs, vs = rows[:, :4], rows[:, 4:]
 
     filled = steps + 1
     diverged = np.flatnonzero(~np.isfinite(np.hstack((xs[1:], vs[1:]))).all(axis=1))

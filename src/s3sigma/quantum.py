@@ -591,8 +591,14 @@ def eigen_residual_table(n_max: int, grid: QuadGrid, cfg: SpaceConfig,
         images.append((-0.5 / (cfg.m * cfg.R ** 2)) * _operator(n_max, "nu2")(psi_c))
     else:
         # The stencil is linear: difference the real monomial rows of all
-        # labels once, then apply the coefficients.
-        h_fd = (-0.5 / cfg.m) * (basis.coeffs @ _fd_laplace_beltrami(basis.rows, q, cfg.R))
+        # labels once, then apply the real and imaginary coefficients in
+        # one real product each, so the rows are never copied as complex.
+        lap = _fd_laplace_beltrami(basis.rows, q, cfg.R)
+        h_fd = np.empty((len(labels), lap.shape[1]), dtype=complex)
+        h_fd.real = basis.coeffs.real @ lap
+        h_fd.imag = basis.coeffs.imag @ lap
+        h_fd *= -0.5 / cfg.m
+        del lap
     images = np.stack(images)
     pows = _power_table(q, n_max)
     rows = []

@@ -513,14 +513,21 @@ def sample_batch(rng: np.random.Generator, cfg: SpaceConfig, count: int,
     eps = np.empty((count, 3))
     nu = np.empty((count, 3))
     z = np.empty(count)
-    zeta = np.empty(count, dtype=complex)
+    u = np.empty(count)
+    phase = np.empty(count)
     for k in range(count):
-        v = rng.normal(size=3)
-        v /= np.linalg.norm(v)
-        eps[k] = cfg.R * radius_fraction * rng.uniform() ** (1.0 / 3.0) * v
+        eps[k] = rng.normal(size=3)
+        u[k] = rng.uniform()
         nu[k] = rng.normal(size=3)
         z[k] = rng.normal()
-        zeta[k] = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        phase[k] = rng.uniform(0.0, 2.0 * math.pi)
+    # Only the draws run per element.  eps holds the drawn directions; the
+    # stacked row products round as np.linalg.norm of each row, and radius
+    # and phase are Python float and cmath operations, element by element.
+    eps /= np.sqrt(eps[:, None, :] @ eps[:, :, None])[:, 0]
+    scale = cfg.R * radius_fraction
+    eps *= np.fromiter((scale * float(r) ** (1.0 / 3.0) for r in u), float, count)[:, None]
+    zeta = np.fromiter((cmath.exp(1j * float(a)) for a in phase), complex, count)
     return ElementBatch(eps, np.ones(count, dtype=int), nu, z, zeta)
 
 

@@ -1,7 +1,16 @@
-import numpy as np
-import pytest
+import os
 
-from s3sigma import SpaceConfig
+# One BLAS/OpenMP thread, as the benchmark runs: with two OpenBLAS threads
+# on a 2-CPU host the first Gram products of criterion 3 sometimes stalled
+# for a second.  numpy is not loaded yet when pytest imports this file, so
+# the setting takes effect; a value already in the environment wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from s3sigma import SpaceConfig  # noqa: E402
 
 
 @pytest.fixture

@@ -78,7 +78,7 @@ def test_c06_poisson_algebra():
 
 
 def test_c07_classical_conservation():
-    res = _run(7, suite.check_conservation)
+    res = _run(7, suite.check_conservation, budget_s=1.0)
     assert res.details["relative_h_drift"] < 1e-8
     assert res.details["max_theta_drift"] < 1e-8
     assert res.details["endpoint_deviation"] < 1e-8

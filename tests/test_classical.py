@@ -8,7 +8,7 @@ from s3sigma import (ChartCoords, DomainError, PhaseState, SpaceConfig, StencilE
                      hamiltonian, hj_inverse, hj_transform, lagrangian,
                      momentum, poisson_bracket, verify_basic_algebra)
 from s3sigma import suite
-from s3sigma.classical import (_BASIS_NAMES, SolutionPoint, _bracket_matrix,
+from s3sigma.classical import (_BASIS_NAMES, SolutionPoint, _bracket_matrix, _embed,
                                _sample_solution_points,
                                angular_frequency, geodesic_equation_residual,
                                invariant_velocities, jacobi_residual,
@@ -155,6 +155,72 @@ def test_integrator_truncates_diverged_run(cfg):
     assert len(traj.warnings) == 2
     assert traj.warnings[0].startswith("step too coarse")
     assert traj.warnings[1] == "integration diverged at step 2; trajectory truncated"
+
+
+def _numpy_rk4_reference(init, t_end, steps, cfg):
+    """The run of geodesic_integrate as one numpy RK4 step of 4-vectors per
+    row, cut before the first non-finite row: (x, v, warnings)."""
+    x, v = _embed(init, cfg)
+    dt = t_end / steps
+    w = float(np.linalg.norm(v)) / cfg.R
+    warnings = []
+    if w * abs(dt) > 0.5:
+        warnings.append(f"step too coarse: omega*dt = {w * abs(dt):.3g} > 0.5, expect "
+                        "degraded accuracy")
+    R2 = cfg.R * cfg.R
+
+    def accel(xx, vv):
+        return -(float(vv @ vv) / R2) * xx
+
+    xs = np.empty((steps + 1, 4))
+    vs = np.empty((steps + 1, 4))
+    xs[0], vs[0] = x, v
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, steps + 1):
+            k1x, k1v = v, accel(x, v)
+            x2, v2 = x + 0.5 * dt * k1x, v + 0.5 * dt * k1v
+            k2x, k2v = v2, accel(x2, v2)
+            x3, v3 = x + 0.5 * dt * k2x, v + 0.5 * dt * k2v
+            k3x, k3v = v3, accel(x3, v3)
+            x4, v4 = x + dt * k3x, v + dt * k3v
+            k4x, k4v = v4, accel(x4, v4)
+            x = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+            v = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+            x *= cfg.R / float(np.linalg.norm(x))
+            v -= (float(x @ v) / R2) * x
+            xs[k], vs[k] = x, v
+    finite = np.isfinite(np.hstack((xs, vs))).all(axis=1)
+    filled = int(np.argmin(finite)) if not finite.all() else steps + 1
+    if filled <= steps:
+        warnings.append(f"integration diverged at step {filled}; trajectory truncated")
+    return xs[:filled], vs[:filled], warnings
+
+
+@pytest.mark.parametrize("fixture, eps, vel", [
+    ("cfg", [0.2, 0.0, 0.0], [0.0, 1.0, 0.0]),
+    ("cfg_odd", [0.3, -0.1, 0.2], [0.5, 1.0, -0.2]),
+])
+def test_scalar_stepper_matches_numpy_reference(request, fixture, eps, vel):
+    cfg = request.getfixturevalue(fixture)
+    init = state(eps, vel)
+    t_end = 20.0 / angular_frequency(init, cfg)
+    traj = geodesic_integrate(init, t_end, 2000, cfg)
+    xs, vs, warnings = _numpy_rk4_reference(init, t_end, 2000, cfg)
+    assert traj.x.shape == xs.shape == (2001, 4) and traj.warnings == warnings == []
+    assert np.max(np.abs(traj.x - xs)) / cfg.R < 1e-12
+    assert np.max(np.abs(traj.v - vs)) < 1e-12
+
+
+@pytest.mark.parametrize("t_end, steps", [(50.0, 10), (2000.0, 200)])
+def test_scalar_stepper_warns_and_truncates_as_numpy_reference(cfg, t_end, steps):
+    # the coarse-step and the diverging runs above
+    init = state([0.1, 0, 0], [0, 1, 0])
+    traj = geodesic_integrate(init, t_end, steps, cfg)
+    xs, vs, warnings = _numpy_rk4_reference(init, t_end, steps, cfg)
+    assert traj.warnings == warnings
+    assert len(traj.times) == len(traj.x) == len(xs)
+    assert np.max(np.abs(traj.x - xs)) / cfg.R < 1e-12
+    assert np.max(np.abs(traj.v - vs)) < 1e-12 * np.max(np.abs(vs))
 
 
 def test_trajectory_validation(cfg):

@@ -157,6 +157,47 @@ def test_associativity_property(eps_flat, rest):
     assert element_distance(lhs, rhs, cfg) < 1e-12
 
 
+def _reference_sample(rng, cfg, count, radius_fraction=None):
+    """sample_batch element by element: normalise, scale and phase each draw in turn."""
+    if radius_fraction is None:
+        radius_fraction = math.sin(math.pi / 8.0)
+    eps = np.empty((count, 3))
+    nu = np.empty((count, 3))
+    z = np.empty(count)
+    zeta = np.empty(count, dtype=complex)
+    for k in range(count):
+        v = rng.normal(size=3)
+        v /= np.linalg.norm(v)
+        eps[k] = cfg.R * radius_fraction * rng.uniform() ** (1.0 / 3.0) * v
+        nu[k] = rng.normal(size=3)
+        z[k] = rng.normal()
+        zeta[k] = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+    return ElementBatch(eps, np.ones(count, dtype=int), nu, z, zeta)
+
+
+def _assert_same_bits(got: ElementBatch, ref: ElementBatch):
+    for name in ("eps", "rho_sign", "nu", "z", "zeta"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("seed", [201, 5])
+@pytest.mark.parametrize("radius_fraction", [None, 1.0])
+def test_sample_batch_matches_per_element_reference_bit_for_bit(cfg_odd, seed, radius_fraction):
+    for count in (3000, 100, 12, 1, 0):
+        got = sigma_group.sample_batch(np.random.default_rng(seed), cfg_odd, count, radius_fraction)
+        ref = _reference_sample(np.random.default_rng(seed), cfg_odd, count, radius_fraction)
+        _assert_same_bits(got, ref)
+
+
+def test_sample_batch_prefix_is_a_shorter_draw(cfg):
+    # the first k elements of a draw of n are a draw of k
+    full = sigma_group.sample_batch(np.random.default_rng(202), cfg, 3000, 1.0)
+    for k in (1, 12, 100, 2999):
+        _assert_same_bits(full[:k], sigma_group.sample_batch(np.random.default_rng(202), cfg, k, 1.0))
+
+
 # ---------------------------------------------------------------------------
 # invariant fields
 
