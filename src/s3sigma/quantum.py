@@ -29,7 +29,7 @@ import numpy as np
 from . import numdiff
 from .config import SpaceConfig
 from .errors import DomainError
-from .geometry import LEVI_CIVITA, quat_mul, rho
+from .geometry import LEVI_CIVITA, quat_mul
 from .qpoly import MonomialBasis, QPoly, _power_table, eval_many, monomials, node_blocks
 from .quadrature import QuadGrid, build_grid, integrate_values
 from .specfun import gegenbauer_series_coefficients
@@ -834,8 +834,7 @@ def polarized_wavefunction(phi_wf: WaveFunction, cfg: SpaceConfig):
     m, R = cfg.m, cfg.R
 
     def lift(g) -> complex:
-        c = g.chart()
-        r = rho(c, cfg)
+        r = g.rho
         q = np.concatenate(([r], g.eps / R))
         phase = -m * (float(np.dot(g.eps, g.nu)) + R * (r - 1.0) * g.z)
         return g.zeta * complex(np.exp(1j * phase)) * complex(phi_wf.eval_q(q))

@@ -1,13 +1,16 @@
 """The centrally extended 7-parameter symmetry group of the sphere particle.
 
-Elements carry (eps, rho_sign; nu; z; zeta): a quaternion-tracked SU(2)
-part, two velocity-type translation blocks nu and z, and a U(1) phase
-zeta.  Composition, inversion, both invariant frames, the quantization
+Elements carry (eps, rho; nu; z; zeta): the SU(2) part as the unit
+quaternion (rho, eps / R) with its signed height stored, two
+velocity-type translation blocks nu and z, and a U(1) phase zeta.
+Composition, inversion, both invariant frames, the quantization
 1-form dual to the central generator, its Noether invariants, and the
 numerical machinery that verifies the commutator table live here.
-Everything is batch-first: the group law works on ElementBatch arrays,
-and both frames and Theta come from one kernel over coordinate arrays
-(..., 8); the per-element functions are their N = 1 case.
+Everything is batch-first: ElementBatch is the one stored form of an
+element and the group law works on its arrays; both frames and Theta
+come from one kernel over coordinate arrays (..., 8).  A
+SigmaGroupElement is the N = 1 row view of a batch, and the
+per-element functions are the N = 1 case of the batched ones.
 
 Coordinate order for all 8-component objects: (eps1, eps2, eps3,
 nu1, nu2, nu3, z, phi) with zeta = exp(i phi).
@@ -27,30 +30,81 @@ from .errors import DomainError
 # dual_field stays bound here, an import-by-name site that the benchmark
 # tracer's tests check, though the frames below no longer call it.
 from .geometry import (ChartCoords, LEVI_CIVITA, _dot, _dual, _heights,  # noqa: F401
-                       _off_equator, cross_matrix, dual_field, quat_mul, rho)
+                       _off_equator, cross_matrix, dual_field, quat_mul)
+
 
 @dataclass(frozen=True, eq=False)
-class SigmaGroupElement:
-    """One group element; nu and z carry velocity units, zeta is a phase."""
+class ElementBatch:
+    """N group elements held as arrays, the one stored form of an element.
+
+    eps (N, 3) and the signed heights rho (N,) are the unit quaternions
+    (rho, eps / R), kept as given; nu (N, 3), z (N,) and zeta (N,).
+    from_chart makes elements from chart data; the fields of the plain
+    constructor are taken as they are, as the group law returns them.
+    Indexing with an integer gives the SigmaGroupElement view of that
+    row, with a slice or an index array a smaller batch.
+    """
 
     eps: np.ndarray
-    rho_sign: int
+    rho: np.ndarray
     nu: np.ndarray
-    z: float
-    zeta: complex
+    z: np.ndarray
+    zeta: np.ndarray
 
-    def __post_init__(self) -> None:
-        e = np.array(self.eps, dtype=float).reshape(3)
-        n = np.array(self.nu, dtype=float).reshape(3)
-        object.__setattr__(self, "eps", e)
-        object.__setattr__(self, "nu", n)
-        object.__setattr__(self, "zeta", complex(self.zeta))
-        if self.rho_sign not in (-1, +1):
+    @classmethod
+    def from_chart(cls, eps, rho_sign, nu, z, zeta, cfg: SpaceConfig) -> "ElementBatch":
+        """Elements from chart points eps (N, 3) of the closed ball |eps| <= R and
+        hemisphere signs rho_sign (N,); each height is computed here, once.
+
+        DomainError for a sign other than +1 or -1, an eps outside the ball
+        or not finite, or a |zeta| more than 1e-9 away from 1.
+        """
+        e = np.array(eps, dtype=float).reshape(-1, 3)
+        n = len(e)
+        sign = np.asarray(rho_sign).reshape(n)
+        if not np.all((sign == 1) | (sign == -1)):
             raise DomainError("rho_sign must be +1 or -1")
-        if abs(abs(self.zeta) - 1.0) > 1e-9:
-            raise DomainError(f"|zeta| = {abs(self.zeta)} is not 1")
-        # keep the phase exactly unimodular after arithmetic
-        object.__setattr__(self, "zeta", self.zeta / abs(self.zeta))
+        return cls(e, _heights(e, sign, cfg), np.array(nu, dtype=float).reshape(n, 3),
+                   np.array(z, dtype=float).reshape(n),
+                   _unit_phase(np.array(zeta, dtype=complex).reshape(n)))
+
+    @property
+    def rho_sign(self) -> np.ndarray:
+        """Hemisphere labels +-1 (N,); a height of -0.0 is in the lower hemisphere."""
+        return np.where(np.signbit(self.rho), -1, 1)
+
+    def __len__(self) -> int:
+        return len(self.z)
+
+    def __getitem__(self, k):
+        if isinstance(k, (int, np.integer)):
+            k = range(len(self))[k]  # an IndexError past the end ends iteration
+            row = SigmaGroupElement.__new__(SigmaGroupElement)
+            row.batch = self[k:k + 1]
+            return row
+        return ElementBatch(self.eps[k], self.rho[k], self.nu[k], self.z[k], self.zeta[k])
+
+
+class SigmaGroupElement:
+    """One group element: the N = 1 row view of an ElementBatch, held as batch.
+
+    SigmaGroupElement(eps, rho_sign, nu, z, zeta, cfg) makes it from chart
+    data through ElementBatch.from_chart; nu and z carry velocity units,
+    zeta is a phase.
+    """
+
+    __slots__ = ("batch",)
+
+    def __init__(self, eps, rho_sign: int, nu, z: float, zeta: complex,
+                 cfg: SpaceConfig) -> None:
+        self.batch = ElementBatch.from_chart(eps, rho_sign, nu, z, zeta, cfg)
+
+    eps = property(lambda self: self.batch.eps[0])
+    rho = property(lambda self: float(self.batch.rho[0]))
+    rho_sign = property(lambda self: int(self.batch.rho_sign[0]))
+    nu = property(lambda self: self.batch.nu[0])
+    z = property(lambda self: float(self.batch.z[0]))
+    zeta = property(lambda self: complex(self.batch.zeta[0]))
 
     @property
     def phi(self) -> float:
@@ -60,76 +114,21 @@ class SigmaGroupElement:
         return ChartCoords(self.eps, self.rho_sign)
 
 
-@dataclass(frozen=True, eq=False)
-class ElementBatch:
-    """N group elements held as arrays, the form the group law works on.
+def _unit_phase(zeta: np.ndarray) -> np.ndarray:
+    """Phases zeta (N,) renormalized onto |zeta| = 1, keeping them exactly unimodular
+    after arithmetic; DomainError when a modulus is more than 1e-9 away from 1.
 
-    eps (N, 3), rho_sign (N,), nu (N, 3), z (N,) and zeta (N,).  Indexing
-    with an integer gives a SigmaGroupElement, with a slice or an index
-    array a smaller batch.
+    hypot and a division of each part round as abs() and / of a Python complex.
     """
-
-    eps: np.ndarray
-    rho_sign: np.ndarray
-    nu: np.ndarray
-    z: np.ndarray
-    zeta: np.ndarray
-
-    def __post_init__(self) -> None:
-        e = np.array(self.eps, dtype=float).reshape(-1, 3)
-        n = len(e)
-        sign = np.asarray(self.rho_sign).reshape(n)
-        if not np.all((sign == 1) | (sign == -1)):
-            raise DomainError("rho_sign must be +1 or -1")
-        zeta = np.array(self.zeta, dtype=complex).reshape(n)
-        object.__setattr__(self, "eps", e)
-        object.__setattr__(self, "rho_sign", sign.astype(int))
-        object.__setattr__(self, "nu", np.array(self.nu, dtype=float).reshape(n, 3))
-        object.__setattr__(self, "z", np.array(self.z, dtype=float).reshape(n))
-        mod = np.hypot(zeta.real, zeta.imag)
-        off = np.abs(mod - 1.0) > 1e-9
-        if np.any(off):
-            raise DomainError(f"|zeta| = {mod[off][0]} is not 1")
-        # keep the phase exactly unimodular after arithmetic; hypot and a
-        # division of each part round as abs() and / of a Python complex
-        object.__setattr__(self, "zeta", zeta.real / mod + 1j * (zeta.imag / mod))
-
-    @classmethod
-    def of(cls, elements) -> "ElementBatch":
-        """Stack already validated elements without renormalizing them."""
-        return _unchecked(cls, eps=np.array([g.eps for g in elements]).reshape(-1, 3),
-                          rho_sign=np.array([g.rho_sign for g in elements], dtype=int),
-                          nu=np.array([g.nu for g in elements]).reshape(-1, 3),
-                          z=np.array([g.z for g in elements], dtype=float),
-                          zeta=np.array([g.zeta for g in elements], dtype=complex))
-
-    def __len__(self) -> int:
-        return len(self.z)
-
-    def __getitem__(self, k):
-        if isinstance(k, (int, np.integer)):
-            return _unchecked(SigmaGroupElement, eps=self.eps[k].copy(),
-                              rho_sign=int(self.rho_sign[k]), nu=self.nu[k].copy(),
-                              z=float(self.z[k]), zeta=complex(self.zeta[k]))
-        return _unchecked(ElementBatch, eps=self.eps[k], rho_sign=self.rho_sign[k],
-                          nu=self.nu[k], z=self.z[k], zeta=self.zeta[k])
-
-
-def _unchecked(cls, **fields):
-    """Instance of a frozen element type from fields that are already valid.
-
-    Validation renormalizes zeta; skipping it here keeps the phase of an
-    element renormalized once, when it is made, however often it moves
-    between the scalar and the batch form.
-    """
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
+    mod = np.hypot(zeta.real, zeta.imag)
+    off = np.abs(mod - 1.0) > 1e-9
+    if np.any(off):
+        raise DomainError(f"|zeta| = {mod[off][0]} is not 1")
+    return zeta.real / mod + 1j * (zeta.imag / mod)
 
 
 def identity(cfg: SpaceConfig) -> SigmaGroupElement:
-    return SigmaGroupElement(np.zeros(3), +1, np.zeros(3), 0.0, 1.0 + 0.0j)
+    return SigmaGroupElement(np.zeros(3), +1, np.zeros(3), 0.0, 1.0 + 0.0j, cfg)
 
 
 def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -137,11 +136,11 @@ def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.real * b.real - a.imag * b.imag) + 1j * (a.real * b.imag + a.imag * b.real)
 
 
-def element_from_coords(x: np.ndarray, rho_sign: int = +1) -> SigmaGroupElement:
+def element_from_coords(x: np.ndarray, rho_sign: int, cfg: SpaceConfig) -> SigmaGroupElement:
     """Build an element from the 8 coordinates (eps, nu, z, phi)."""
     x = np.asarray(x, dtype=float)
     return SigmaGroupElement(x[0:3], rho_sign, x[3:6], float(x[6]),
-                             cmath.exp(1j * float(x[7])))
+                             cmath.exp(1j * float(x[7])), cfg)
 
 
 def element_coords(g: SigmaGroupElement) -> np.ndarray:
@@ -152,27 +151,27 @@ def compose_many(gp: ElementBatch, g: ElementBatch, cfg: SpaceConfig) -> Element
     """Group law gp[k] * g[k] for every k (gp acts from the left).
 
     The eps sector is quaternion multiplication in the embedding, so
-    products are defined on both hemispheres; nu, z and the phase follow
-    the closed composition rules of the extension, with the nu block
-    rotated by the left-frame matrix of gp.
+    products are defined on both hemispheres and keep the product's
+    height; nu, z and the phase follow the closed composition rules of
+    the extension, with the nu block rotated by the left-frame matrix
+    of gp.
     """
     R = cfg.R
-    rho_p = _heights(gp.eps, gp.rho_sign, cfg)
-    qp = np.concatenate((rho_p[:, None], gp.eps / R), axis=1)
-    q = np.concatenate((_heights(g.eps, g.rho_sign, cfg)[:, None], g.eps / R), axis=1)
-    qq = quat_mul(qp, q)
+    rho_p = gp.rho
+    qq = quat_mul(np.column_stack((rho_p, gp.eps / R)), np.column_stack((g.rho, g.eps / R)))
     eps_nu = _dot(gp.eps, g.nu)
     nu2 = (gp.nu + rho_p[:, None] * g.nu + np.cross(gp.eps, g.nu) / R
            + gp.eps * (g.z / R)[:, None])
     z2 = gp.z + rho_p * g.z - eps_nu / R
     phase = -cfg.m * (R * (rho_p - 1.0) * g.z - eps_nu)
     zeta2 = _cmul(_cmul(gp.zeta, g.zeta), np.exp(1j * phase))
-    return ElementBatch(R * qq[:, 1:], np.where(qq[:, 0] >= 0.0, 1, -1), nu2, z2, zeta2)
+    return ElementBatch(R * qq[:, 1:], qq[:, 0], nu2, z2, _unit_phase(zeta2))
 
 
 def inverse_many(g: ElementBatch, cfg: SpaceConfig) -> ElementBatch:
-    """Two-sided inverses, solved in closed form from the group law."""
-    r = _heights(g.eps, g.rho_sign, cfg)
+    """Two-sided inverses, solved in closed form from the group law; the
+    inverse quaternion is the conjugate, so the height is kept."""
+    r = g.rho
     R = cfg.R
     eps_nu = _dot(g.eps, g.nu)
     nu_i = (-r[:, None] * g.nu + np.cross(g.eps, g.nu) / R
@@ -180,7 +179,7 @@ def inverse_many(g: ElementBatch, cfg: SpaceConfig) -> ElementBatch:
     z_i = -r * g.z - eps_nu / R
     phase = cfg.m * (R * (r - 1.0) * g.z + eps_nu)
     zeta_i = _cmul(np.conjugate(g.zeta), np.exp(1j * phase))
-    return ElementBatch(-g.eps, g.rho_sign, nu_i, z_i, zeta_i)
+    return ElementBatch(-g.eps, r, nu_i, z_i, _unit_phase(zeta_i))
 
 
 def distance_many(a: ElementBatch, b: ElementBatch, cfg: SpaceConfig) -> np.ndarray:
@@ -192,7 +191,7 @@ def distance_many(a: ElementBatch, b: ElementBatch, cfg: SpaceConfig) -> np.ndar
     dzeta = a.zeta - b.zeta
     return np.max(np.stack([
         np.max(np.abs(a.eps - b.eps), axis=1) / cfg.R,
-        np.abs(_heights(a.eps, a.rho_sign, cfg) - _heights(b.eps, b.rho_sign, cfg)),
+        np.abs(a.rho - b.rho),
         np.max(np.abs(a.nu - b.nu), axis=1),
         np.abs(a.z - b.z),
         np.hypot(dzeta.real, dzeta.imag),
@@ -202,18 +201,18 @@ def distance_many(a: ElementBatch, b: ElementBatch, cfg: SpaceConfig) -> np.ndar
 def compose(gp: SigmaGroupElement, g: SigmaGroupElement,
             cfg: SpaceConfig) -> SigmaGroupElement:
     """Group law gp * g; the N = 1 case of compose_many."""
-    return compose_many(ElementBatch.of([gp]), ElementBatch.of([g]), cfg)[0]
+    return compose_many(gp.batch, g.batch, cfg)[0]
 
 
 def inverse(g: SigmaGroupElement, cfg: SpaceConfig) -> SigmaGroupElement:
     """Two-sided inverse; the N = 1 case of inverse_many."""
-    return inverse_many(ElementBatch.of([g]), cfg)[0]
+    return inverse_many(g.batch, cfg)[0]
 
 
 def element_distance(a: SigmaGroupElement, b: SigmaGroupElement,
                      cfg: SpaceConfig) -> float:
     """Distance of two elements; the N = 1 case of distance_many."""
-    return float(distance_many(ElementBatch.of([a]), ElementBatch.of([b]), cfg)[0])
+    return float(distance_many(a.batch, b.batch, cfg)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -265,30 +264,26 @@ def _frames(x: np.ndarray, rho_sign, cfg: SpaceConfig):
     return left, right, theta
 
 
-def _coords(b: ElementBatch) -> np.ndarray:
-    """The (N, 8) coordinates (eps, nu, z, phi) of a batch."""
-    return np.column_stack((b.eps, b.nu, b.z, np.angle(b.zeta)))
-
-
-def _one(g: SigmaGroupElement):
-    """A single element as the (1, 8) coordinates and (1,) sign of a batch."""
-    return element_coords(g)[None], np.array([g.rho_sign])
+def _coords(b: ElementBatch) -> tuple[np.ndarray, np.ndarray]:
+    """The (N, 8) coordinates (eps, nu, z, phi) of a batch and its (N,) hemisphere
+    signs, the arguments of the frame kernels."""
+    return np.column_stack((b.eps, b.nu, b.z, np.angle(b.zeta))), b.rho_sign
 
 
 def left_fields(g: SigmaGroupElement, cfg: SpaceConfig) -> np.ndarray:
     """Components of the 8 left-invariant fields at g, rows per generator."""
-    return _frames(*_one(g), cfg)[0][0]
+    return _frames(*_coords(g.batch), cfg)[0][0]
 
 
 def right_fields(g: SigmaGroupElement, cfg: SpaceConfig) -> np.ndarray:
     """Components of the 8 right-invariant fields at g, rows per generator."""
-    return _frames(*_one(g), cfg)[1][0]
+    return _frames(*_coords(g.batch), cfg)[1][0]
 
 
 def quantization_form(g: SigmaGroupElement, cfg: SpaceConfig) -> np.ndarray:
     """Components of the invariant 1-form Theta dual to the central generator,
     an 8-covector in the (eps, nu, z, phi) basis."""
-    return _theta(*_one(g), cfg)[0][0]
+    return _theta(*_coords(g.batch), cfg)[0][0]
 
 
 def noether_many(b: ElementBatch, cfg: SpaceConfig) -> np.ndarray:
@@ -298,7 +293,7 @@ def noether_many(b: ElementBatch, cfg: SpaceConfig) -> np.ndarray:
     with Z the right dual field, the three nu-type ones -m eps_i, then
     -m R (rho - 1).
     """
-    _, right, theta = _frames(_coords(b), b.rho_sign, cfg)
+    _, right, theta = _frames(*_coords(b), cfg)
     zr3 = right[:, 0:3, 0:3]
     return np.concatenate((
         cfg.m * ((zr3 @ b.nu[:, :, None])[..., 0] - (b.z / cfg.R)[:, None] * b.eps),
@@ -307,7 +302,7 @@ def noether_many(b: ElementBatch, cfg: SpaceConfig) -> np.ndarray:
 
 def noether_invariants(g: SigmaGroupElement, cfg: SpaceConfig) -> np.ndarray:
     """noether_many at one element."""
-    return noether_many(ElementBatch.of([g]), cfg)[0]
+    return noether_many(g.batch, cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -326,12 +321,12 @@ def _dtheta(x: np.ndarray, rho_sign, cfg: SpaceConfig) -> np.ndarray:
 
 def dtheta_matrix(g: SigmaGroupElement, cfg: SpaceConfig) -> np.ndarray:
     """Exterior derivative dTheta[a, b] at one element."""
-    return _dtheta(*_one(g), cfg)[0]
+    return _dtheta(*_coords(g.batch), cfg)[0]
 
 
 def dtheta_exact(g: SigmaGroupElement, cfg: SpaceConfig) -> np.ndarray:
     """Closed-form dTheta for the chart interior, used as a cross-check."""
-    r = _off_equator(rho(g.chart(), cfg))
+    r = _off_equator(g.rho)
     out = np.zeros((8, 8))
     m, R = cfg.m, cfg.R
     for k in range(3):
@@ -423,7 +418,7 @@ def measured_right_bracket_coefficients(g: SigmaGroupElement,
     Returns (a, b) -> 8-vector of measured structure constants for all
     pairs a < b over the 8 generators.
     """
-    _, fr, _, jr = _frame_with_jacobian(*_one(g), cfg)
+    _, fr, _, jr = _frame_with_jacobian(*_coords(g.batch), cfg)
     coeffs = _right_structure_constants(fr, jr)[0]
     return {(int(a), int(b)): c for a, b, c in zip(*_PAIRS, coeffs)}
 
@@ -432,7 +427,7 @@ def bracket_residuals(b: ElementBatch, cfg: SpaceConfig) -> tuple[np.ndarray, np
     """Per element of a batch, the largest deviation of the measured right-frame
     structure constants from the expected table, and the largest component
     of any [left, right] bracket (which should vanish)."""
-    fl, fr, jl, jr = _frame_with_jacobian(_coords(b), b.rho_sign, cfg)
+    fl, fr, jl, jr = _frame_with_jacobian(*_coords(b), cfg)
     table = expected_right_bracket_coefficients(cfg)
     expected = np.array([table.get(pair, np.zeros(8)) for pair in zip(*_PAIRS)])
     deviation = np.abs(_right_structure_constants(fr, jr) - expected)
@@ -461,15 +456,15 @@ def bracket_table_report(g: SigmaGroupElement, cfg: SpaceConfig) -> dict:
 
 def mixed_bracket_residual(g: SigmaGroupElement, cfg: SpaceConfig) -> float:
     """Max norm over all [left, right] numerical brackets (should vanish)."""
-    return float(bracket_residuals(ElementBatch.of([g]), cfg)[1][0])
+    return float(bracket_residuals(g.batch, cfg)[1][0])
 
 
 def characteristic_many(b: ElementBatch, cfg: SpaceConfig) -> dict:
     """characteristic_check at every element of a batch, as (N,) arrays,
     plus "theta_on_right" (N, 8), the pairings of Theta with the right fields."""
-    x = _coords(b)
-    left, right, theta = _frames(x, b.rho_sign, cfg)
-    dth = _dtheta(x, b.rho_sign, cfg)
+    x, sign = _coords(b)
+    left, right, theta = _frames(x, sign, cfg)
+    dth = _dtheta(x, sign, cfg)
     on_left = (theta[:, None, None, :] @ left[..., None])[..., 0, 0]
     on_right = (theta[:, None, None, :] @ right[..., None])[..., 0, 0]
     # rows: zl_z, zl_nu1 and the central generator xi
@@ -494,7 +489,7 @@ def characteristic_check(g: SigmaGroupElement, cfg: SpaceConfig) -> dict:
     the central generator is degenerate in dTheta; a nu-type left
     generator annihilates Theta but not dTheta (symplectic contrast).
     """
-    chk = characteristic_many(ElementBatch.of([g]), cfg)
+    chk = characteristic_many(g.batch, cfg)
     del chk["theta_on_right"]
     return {key: float(v[0]) for key, v in chk.items()}
 
@@ -516,11 +511,11 @@ def sample_batch(rng: np.random.Generator, cfg: SpaceConfig, count: int,
     u = np.empty(count)
     phase = np.empty(count)
     for k in range(count):
-        eps[k] = rng.normal(size=3)
-        u[k] = rng.uniform()
-        nu[k] = rng.normal(size=3)
-        z[k] = rng.normal()
-        phase[k] = rng.uniform(0.0, 2.0 * math.pi)
+        eps[k] = rng.standard_normal(3)
+        u[k] = rng.random()
+        nu[k] = rng.standard_normal(3)
+        z[k] = rng.standard_normal()
+        phase[k] = 2.0 * math.pi * rng.random()
     # Only the draws run per element.  eps holds the drawn directions; the
     # stacked row products round as np.linalg.norm of each row, and radius
     # and phase are Python float and cmath operations, element by element.
@@ -528,7 +523,7 @@ def sample_batch(rng: np.random.Generator, cfg: SpaceConfig, count: int,
     scale = cfg.R * radius_fraction
     eps *= np.fromiter((scale * float(r) ** (1.0 / 3.0) for r in u), float, count)[:, None]
     zeta = np.fromiter((cmath.exp(1j * float(a)) for a in phase), complex, count)
-    return ElementBatch(eps, np.ones(count, dtype=int), nu, z, zeta)
+    return ElementBatch.from_chart(eps, np.ones(count, dtype=int), nu, z, zeta, cfg)
 
 
 def sample_elements(rng: np.random.Generator, cfg: SpaceConfig, count: int,
@@ -542,7 +537,8 @@ def group_axiom_residuals(rng: np.random.Generator, cfg: SpaceConfig,
     """Worst associativity / inverse / identity residuals over random draws."""
     triples = sample_batch(rng, cfg, 3 * samples)
     a, b, c = triples[0::3], triples[1::3], triples[2::3]
-    e = ElementBatch.of([identity(cfg)] * samples)
+    e = ElementBatch(np.zeros((samples, 3)), np.ones(samples), np.zeros((samples, 3)),
+                     np.zeros(samples), np.ones(samples, dtype=complex))
     lhs = compose_many(compose_many(a, b, cfg), c, cfg)
     rhs = compose_many(a, compose_many(b, c, cfg), cfg)
     assoc = distance_many(lhs, rhs, cfg)

@@ -6,6 +6,11 @@ import os
 # the setting takes effect; a value already in the environment wins.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
+# pytest puts src/ on sys.path (pyproject.toml); the command-line tests' child
+# processes find the package the same way.
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [_SRC] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))
 
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402

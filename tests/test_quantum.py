@@ -547,7 +547,7 @@ def test_polarized_lift_reduces_to_operator_dictionary(rng):
         x0 = element_coords(g)
 
         def lift_coords(x):
-            return lift(element_from_coords(x, g.rho_sign))
+            return lift(element_from_coords(x, g.rho_sign, cfg))
 
         grad = np.array([numdiff.partial(lift_coords, x0, a, 1e-6)
                          for a in range(8)])
