@@ -146,8 +146,10 @@ class MonomialBasis:
     polynomial r, so `coeffs @ rows(q)` (`values(q)`) evaluates the whole
     family.  Any linear operation on values (a difference stencil, a
     quadrature sum) can run on the real monomial rows once and meet the
-    complex coefficients at the end.  The monomials are the distinct ones
-    of the family or, given `max_degree`, all of degree <= max_degree.
+    real and imaginary coefficient parts at the end; `rows` takes a
+    shared power table, so many small families on the same nodes form
+    the powers once.  The monomials are the distinct ones of the family
+    or, given `max_degree`, all of degree <= max_degree.
     """
 
     __slots__ = ("monos", "coeffs", "max_degree")
@@ -192,7 +194,7 @@ class MonomialBasis:
             prev = e
         return M
 
-    def values(self, q: np.ndarray, pows: list | None = None) -> np.ndarray:
+    def values(self, q: np.ndarray) -> np.ndarray:
         """Values of the family at q (..., 4), shape (len(polys), points).
 
         The nodes run in blocks of `_NODE_BLOCK`.  In each block the real
@@ -202,7 +204,7 @@ class MonomialBasis:
         q = np.asarray(q, dtype=float).reshape(-1, 4)
         out = np.empty((self.coeffs.shape[0], q.shape[0]), dtype=complex)
         for b in node_blocks(q.shape[0]):
-            M = self.rows(q[b], None if pows is None else [[p[b] for p in col] for col in pows])
+            M = self.rows(q[b])
             out.real[:, b] = self.coeffs.real @ M
             out.imag[:, b] = self.coeffs.imag @ M
         return out

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -32,7 +32,7 @@ class HypersphericalNode:
 
 @dataclass(frozen=True, eq=False)
 class QuadGrid:
-    """Tensor-product grid; arrays are flattened over all nodes."""
+    """Tensor-product grid; arrays are flattened over all nodes and read-only."""
 
     chi: np.ndarray
     theta: np.ndarray
@@ -53,12 +53,12 @@ class QuadGrid:
         """Unit quaternions (N, 4) of the nodes: (cos chi, sin chi n_hat)."""
         schi = np.sin(self.chi)
         sth = np.sin(self.theta)
-        return np.stack([
+        return _read_only(np.stack([
             np.cos(self.chi),
             schi * sth * np.cos(self.phi),
             schi * sth * np.sin(self.phi),
             schi * np.cos(self.theta),
-        ], axis=-1)
+        ], axis=-1))
 
     def to_csv(self, path: str) -> None:
         """Debug dump with columns chi, theta, phi, weight."""
@@ -69,13 +69,20 @@ class QuadGrid:
                          f"{self.phi[i]!r},{self.weight[i]!r}\n")
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=16)  # a suite run uses four grids
 def build_grid(n_chi: int, n_theta: int, n_phi: int, cfg: SpaceConfig) -> QuadGrid:
     """Tensor-product rule with orders (n_chi, n_theta, n_phi).
 
     Gauss-Legendre nodes in chi over [0, pi] carry the sin^2(chi)
     factor; Gauss-Legendre nodes in cos(theta) absorb sin(theta); the
     phi rule is uniform with weight 2 pi / n_phi.  The weights sum to
-    the invariant volume 2 pi^2 R^3 to rule accuracy.
+    the invariant volume 2 pi^2 R^3 to rule accuracy.  One grid per
+    (orders, cfg) is built and shared; its arrays are read-only.
     """
     if n_chi < 2 or n_theta < 2 or n_phi < 4:
         raise QuadratureError(
@@ -95,7 +102,7 @@ def build_grid(n_chi: int, n_theta: int, n_phi: int, cfg: SpaceConfig) -> QuadGr
     cg, tg, pg = np.meshgrid(chi, theta, phi, indexing="ij")
     wc, wt, wp = np.meshgrid(w_chi, w_u, w_phi, indexing="ij")
     weight = (cfg.R ** 3) * wc * wt * wp
-    return QuadGrid(cg.ravel(), tg.ravel(), pg.ravel(), weight.ravel(),
+    return QuadGrid(*(_read_only(a.ravel()) for a in (cg, tg, pg, weight)),
                     (n_chi, n_theta, n_phi), cfg.R)
 
 

@@ -118,38 +118,34 @@ def _basis_polynomial_raw(n: int, l: int, m_z: int) -> QPoly:
 def basis_norm_constant(n: int, l: int, cfg: SpaceConfig) -> float:
     """Normalization constant fixed by the quadrature oracle.
 
-    The constant is independent of m_z and of the mass, so it is cached
-    per (n, l, R).
+    The constant is independent of m_z and of the mass; the constants of
+    every l of level n are found together and cached per (n, R).
     """
-    return _norm_constant(n, l, cfg.R)
+    return _level_norm_constants(n, cfg.R)[l]
 
 
 @lru_cache(maxsize=None)
-def _normalization_grid(orders: tuple[int, int, int], R: float) -> QuadGrid:
-    return build_grid(*orders, SpaceConfig(R))
+def _level_norm_constants(n: int, R: float) -> tuple[float, ...]:
+    """1 / ||raw|| for l = 0..n, each raw polynomial's values formed per node block.
 
-
-@lru_cache(maxsize=None)
-def _norm_constant(n: int, l: int, R: float) -> float:
-    """1 / ||raw||, with the raw polynomial's values formed per node block.
-
-    Each real monomial row meets the real and imaginary coefficient parts
-    in the polynomial's term order: the bits of `QPoly.__call__` up to
-    the sign of zeros, which |vals| drops.
+    One set of real monomial rows per block serves the whole level; each raw
+    polynomial meets them in its own term order, real and imaginary parts
+    apart: the bits of `QPoly.__call__` up to the sign of zeros, which |vals| drops.
     """
-    grid = _normalization_grid((max(32, 2 * n + 10), max(24, 2 * n + 6), max(48, 4 * n + 8)), R)
-    raw = _basis_polynomial_raw(n, l, 0)
-    basis = MonomialBasis([raw])
-    terms = [(basis.monos.index(e), c.real, c.imag) for e, c in raw.terms.items()]
-    vals = np.zeros(len(grid), dtype=complex)
+    grid = build_grid(max(32, 2 * n + 10), max(24, 2 * n + 6), max(48, 4 * n + 8), SpaceConfig(R))
+    raws = [_basis_polynomial_raw(n, l, 0) for l in range(n + 1)]
+    basis = MonomialBasis(raws)
+    terms = [[(basis.monos.index(e), c.real, c.imag) for e, c in raw.terms.items()] for raw in raws]
+    vals = np.zeros((n + 1, len(grid)), dtype=complex)
     for b in node_blocks(len(grid)):
         M = basis.rows(grid.q[b])
-        re, im = vals.real[b], vals.imag[b]
-        for k, c_re, c_im in terms:
-            re += c_re * M[k]
-            im += c_im * M[k]
-    norm2 = float(np.real(integrate_values(np.abs(vals) ** 2, grid)))
-    return 1.0 / math.sqrt(norm2)
+        for v, v_terms in zip(vals, terms):
+            re, im = v.real[b], v.imag[b]
+            for k, c_re, c_im in v_terms:
+                re += c_re * M[k]
+                im += c_im * M[k]
+    return tuple(1.0 / math.sqrt(float(np.real(integrate_values(np.abs(v) ** 2, grid))))
+                 for v in vals)
 
 
 def closed_form_norm_constant(n: int, l: int, cfg: SpaceConfig) -> float:
@@ -578,9 +574,10 @@ def eigen_residual_table(n_max: int, grid: QuadGrid, cfg: SpaceConfig,
     backend 'analytic' uses the polynomial operators; 'fd' runs the
     finite-difference Laplace-Beltrami route for the energy residual
     (the rotation residuals stay analytic).  One product per operator map
-    gives the coefficients of every label's image; each label's psi and
-    images are evaluated on the monomials they use, from one power table
-    of the nodes, and every residual is a quadrature sum of those values.
+    gives the coefficients of every label's image.  Each label's psi and
+    images come in real arithmetic: the real and imaginary coefficient
+    parts meet the real rows of its monomials, from one power table of
+    the nodes, and every residual is a quadrature sum of squared parts.
     """
     labels = labels_up_to(n_max)
     q = grid.q
@@ -590,13 +587,10 @@ def eigen_residual_table(n_max: int, grid: QuadGrid, cfg: SpaceConfig,
     if backend == "analytic":
         images.append((-0.5 / (cfg.m * cfg.R ** 2)) * _operator(n_max, "nu2")(psi_c))
     else:
-        # The stencil is linear: difference the real monomial rows of all
-        # labels once, then apply the real and imaginary coefficients in
-        # one real product each, so the rows are never copied as complex.
+        # The stencil is linear: difference the real monomial rows of all labels
+        # once; the real and imaginary coefficients give the parts of each H psi.
         lap = _fd_laplace_beltrami(basis.rows, q, cfg.R)
-        h_fd = np.empty((len(labels), lap.shape[1]), dtype=complex)
-        h_fd.real = basis.coeffs.real @ lap
-        h_fd.imag = basis.coeffs.imag @ lap
+        h_fd = np.stack([basis.coeffs.real @ lap, basis.coeffs.imag @ lap])
         h_fd *= -0.5 / cfg.m
         del lap
     images = np.stack(images)
@@ -604,12 +598,20 @@ def eigen_residual_table(n_max: int, grid: QuadGrid, cfg: SpaceConfig,
     rows = []
     for i, lb in enumerate(labels):
         used = np.flatnonzero(np.any(images[:, :, i] != 0.0, axis=0))
-        own = MonomialBasis.from_coeffs([basis.monos[k] for k in used], images[:, used, i])
-        vals, j2vals, j3vals, *h = own.values(q, pows)
+        c = images[:, used, i]
+        M = MonomialBasis.from_coeffs([basis.monos[k] for k in used], c).rows(q, pows)
+        # real and imaginary parts of psi, J2 psi, J3 psi and H psi
+        parts = np.empty((2, 4, len(q)))
+        np.matmul(c.real, M, out=parts[0, :len(c)])
+        np.matmul(c.imag, M, out=parts[1, :len(c)])
+        del M
+        if backend != "analytic":
+            parts[:, 3] = h_fd[:, i]
         e_n = energy(lb.n, cfg)
-        diffs = np.stack([vals, (h[0] if h else h_fd[i]) - e_n * vals,
-                          j2vals - lb.l * (lb.l + 1.0) * vals, j3vals - lb.m_z * vals])
-        norm2, h2, j22, j32 = (diffs.real ** 2 + diffs.imag ** 2) @ grid.weight
+        for r, eigenvalue in ((1, lb.l * (lb.l + 1.0)), (2, lb.m_z), (3, e_n)):
+            parts[:, r] -= eigenvalue * parts[:, 0]
+        np.square(parts, out=parts)
+        norm2, j22, j32, h2 = np.add(parts[0], parts[1], out=parts[0]) @ grid.weight
         rows.append({
             "n": lb.n, "l": lb.l, "m_z": lb.m_z, "energy": e_n,
             "norm_residual": abs(float(norm2) - 1.0),

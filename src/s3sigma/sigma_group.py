@@ -21,6 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,9 +69,9 @@ class ElementBatch:
                    np.array(z, dtype=float).reshape(n),
                    _unit_phase(np.array(zeta, dtype=complex).reshape(n)))
 
-    @property
+    @cached_property
     def rho_sign(self) -> np.ndarray:
-        """Hemisphere labels +-1 (N,); a height of -0.0 is in the lower hemisphere."""
+        """Hemisphere labels +-1 (N,), formed once; a height of -0.0 is in the lower hemisphere."""
         return np.where(np.signbit(self.rho), -1, 1)
 
     def __len__(self) -> int:

@@ -41,7 +41,7 @@ def test_c01_volume():
 
 
 def test_c02_spectrum_residuals():
-    res = _run(2, suite.check_spectrum, budget_s=1.5)
+    res = _run(2, suite.check_spectrum, budget_s=1.0)
     assert res.details["max_h_residual_analytic"] < 1e-7
     assert res.details["max_h_residual_fd"] < 1e-4
     assert res.details["max_j2_residual"] < 1e-7

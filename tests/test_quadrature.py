@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from s3sigma import QuadratureError, build_grid, integrate
+from s3sigma import QuadratureError, SpaceConfig, build_grid, integrate
 from s3sigma.quadrature import exact_volume, integrate_values, volume
 
 
@@ -119,3 +119,14 @@ def test_integrate_values_complex(cfg):
     total = integrate_values(vals, grid)
     assert isinstance(total, complex)
     assert abs(total) < 1e-13
+
+
+def test_grid_is_built_once_per_orders_and_radius_and_read_only():
+    grid = build_grid(10, 8, 12, SpaceConfig(1.7, 0.9))
+    assert build_grid(10, 8, 12, SpaceConfig(1.7, 0.9)) is grid
+    assert build_grid(10, 8, 12, SpaceConfig(1.8, 0.9)) is not grid
+    assert build_grid(10, 8, 14, SpaceConfig(1.7, 0.9)) is not grid
+    for values in (grid.chi, grid.theta, grid.phi, grid.weight, grid.q):
+        assert not values.flags.writeable
+    with pytest.raises(ValueError):
+        grid.weight[0] = 0.0

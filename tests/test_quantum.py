@@ -326,6 +326,20 @@ def test_norm_constant_cached_per_radius_only(monkeypatch):
     assert basis_norm_constant(3, 1, SpaceConfig(1.1, 2.5)) == first
 
 
+def test_first_norm_miss_fills_its_whole_level(monkeypatch):
+    cfg = SpaceConfig(0.83, 1.0)  # a radius no other test fills
+    first = basis_norm_constant(4, 2, cfg)
+
+    def no_grid(*args):
+        raise AssertionError("a cache hit built a quadrature grid")
+
+    monkeypatch.setattr(quantum, "build_grid", no_grid)
+    level = [basis_norm_constant(4, l, cfg) for l in range(5)]
+    assert level[2] == first and all(c > 0.0 for c in level)
+    with pytest.raises(AssertionError, match="built a quadrature grid"):
+        basis_norm_constant(5, 0, cfg)  # the next level is its own fill
+
+
 @pytest.mark.parametrize("R", [1.0, 1.3, 0.7])
 def test_norm_constant_equals_qpoly_evaluation_exactly(R):
     # Reference: the raw polynomial through `QPoly.__call__` on the
@@ -370,6 +384,55 @@ def _reference_residual_table(n_max, grid, cfg, backend):
             "j3_residual": residual(apply_J("third", wf, cfg).poly(grid.q), lb.m_z),
         })
     return rows
+
+
+def _complex_residual_table(n_max, grid, cfg, backend):
+    """The residual table with complex values per label: each label's psi and
+    images as complex rows, their complex differences, then |.|^2 summed."""
+    labels = labels_up_to(n_max)
+    basis = MonomialBasis([psi(lb, cfg).poly for lb in labels], n_max)
+    psi_c = basis.coeffs.T
+    images = [psi_c, quantum._operator(n_max, "J2")(psi_c),
+              -1j * quantum._operator(n_max, "J", 2)(psi_c)]
+    if backend == "analytic":
+        images.append((-0.5 / (cfg.m * cfg.R ** 2)) * quantum._operator(n_max, "nu2")(psi_c))
+    else:
+        lap = quantum._fd_laplace_beltrami(basis.rows, grid.q, cfg.R)
+        h_fd = np.empty((len(labels), lap.shape[1]), dtype=complex)
+        h_fd.real = basis.coeffs.real @ lap
+        h_fd.imag = basis.coeffs.imag @ lap
+        h_fd *= -0.5 / cfg.m
+    images = np.stack(images)
+    rows = []
+    for i, lb in enumerate(labels):
+        used = np.flatnonzero(np.any(images[:, :, i] != 0.0, axis=0))
+        own = MonomialBasis.from_coeffs([basis.monos[k] for k in used], images[:, used, i])
+        vals, j2vals, j3vals, *h = own.values(grid.q)
+        e_n = energy(lb.n, cfg)
+        diffs = np.stack([vals, (h[0] if h else h_fd[i]) - e_n * vals,
+                          j2vals - lb.l * (lb.l + 1.0) * vals, j3vals - lb.m_z * vals])
+        norm2, h2, j22, j32 = (diffs.real ** 2 + diffs.imag ** 2) @ grid.weight
+        rows.append({
+            "n": lb.n, "l": lb.l, "m_z": lb.m_z, "energy": e_n,
+            "norm_residual": abs(float(norm2) - 1.0),
+            "h_residual": math.sqrt(h2) / math.sqrt(norm2),
+            "j2_residual": math.sqrt(j22) / math.sqrt(norm2),
+            "j3_residual": math.sqrt(j32) / math.sqrt(norm2),
+        })
+    return rows
+
+
+@pytest.mark.parametrize("R,m", [(1.0, 1.0), (1.3, 0.7)])
+@pytest.mark.parametrize("backend,orders", [("analytic", (32, 16, 32)),
+                                            ("fd", (16, 12, 16))], ids=["analytic", "fd"])
+def test_residual_table_equals_complex_loop_bit_for_bit(backend, orders, R, m):
+    # A real eigenvalue times a complex value rounds its two parts as a
+    # real product each, so the real-arithmetic table keeps every bit.
+    cfg = SpaceConfig(R, m)
+    grid = build_grid(*orders, cfg)
+    table = quantum.eigen_residual_table(5, grid, cfg, backend=backend)
+    assert len(table) == 91
+    assert table == _complex_residual_table(5, grid, cfg, backend)
 
 
 @pytest.mark.parametrize("backend,orders", [("analytic", (32, 16, 32)),

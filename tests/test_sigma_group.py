@@ -76,6 +76,10 @@ def test_element_batch_rejects_bad_sign_and_phase(cfg_odd):
     assert g.rho_sign == -1 and g.rho == 0.0
     for h in (inverse(g, cfg_odd), compose(e, g, cfg_odd), compose(g, e, cfg_odd)):
         assert h.rho_sign == -1 and h.rho == 0.0
+    # the signs are formed once per batch, and a height of -0.0 reads as -1
+    b = ElementBatch(eps, np.array([-0.0, 0.0]), nu, z, np.ones(2, dtype=complex))
+    assert b.rho_sign is b.rho_sign and list(b.rho_sign) == [-1, 1]
+    assert g.batch.rho_sign is g.batch.rho_sign and g.batch.rho_sign[0] == -1
 
 
 def _reference_compose(gp, g, cfg):
