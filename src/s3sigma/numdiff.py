@@ -4,8 +4,9 @@ Every stencil is the classic 4th-order one, with weights from the two
 tables below; the default relative step is 1e-5 times the coordinate
 scale, which balances truncation against roundoff at double precision
 for the smooth fields handled here.  The batched engine is
-`stencil_gradient`, `stencil_hessian` and `complex_step_gradient`: each
-calls its function once, on every point of every stencil, and every
+`stencil_gradient` (first derivatives), `stencil_second` (second
+derivatives along each axis, no cross terms) and `complex_step_gradient`:
+each calls its function once, on every point of every stencil, and every
 stencil of the package goes through it.  Two scalar routines remain:
 `partial`, with which `classical.poisson_bracket` differentiates its two
 user-supplied scalar functions, and `jacobian`, which the package no
@@ -67,46 +68,29 @@ def stencil_gradient(F, x: np.ndarray, h) -> np.ndarray:
     return np.swapaxes(acc / (12.0 * hs[..., :, None]), -1, -2)
 
 
-def stencil_hessian(F, x: np.ndarray, h) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients and Hessians at a batch of points x (N, n), points last.
+def stencil_second(F, x: np.ndarray, h) -> np.ndarray:
+    """Second derivatives along each axis at a batch of points x (N, n), points last.
 
     h is the step of each point, broadcastable to (N,).  F is called once,
-    on the (S, N, n) array of the S = 1 + 4n + 8n(n-1) stencil points of
-    every point (itself, 4 shifts along each axis, 16 in each coordinate
-    plane), and returns values (..., S, N); leading axes such as a family
-    of functions are kept.  Returns d1[..., i, p] = d F / d x^i and
-    d2[..., i, j, p] = d^2 F / d x^i d x^j at x[p].  The stencil sums run
+    on the (1 + 4n, N, n) array of every point's stencil points (itself,
+    then 4 shifts along each axis), and returns values (..., 1 + 4n, N);
+    leading axes such as a family of functions are kept.  Returns
+    d2[..., i, p] = d^2 F / (d x^i)^2 at x[p].  The stencil sums run
     elementwise in table order, so each function in a stacked F gets the
     bits of its own call.
     """
     x = np.asarray(x, dtype=float)
     npts, n = x.shape
     hs = np.broadcast_to(np.asarray(h, dtype=float), (npts,))
-    eye, o = np.eye(n), np.asarray(_D1_OFFSETS)
-    ia, ib = np.triu_indices(n, 1)
-    # unit shifts: the centre, [offset, axis], then [offset a, offset b, pair (a, b)]
-    unit = np.concatenate([np.zeros((1, n)), (o[:, None, None] * eye).reshape(-1, n),
-                           (o[:, None, None, None] * eye[ia] + o[:, None, None] * eye[ib]
-                            ).reshape(-1, n)])
+    # unit shifts: the centre, then [offset, axis]
+    unit = np.concatenate([np.zeros((1, n)),
+                           (np.asarray(_D1_OFFSETS)[:, None, None] * np.eye(n)).reshape(-1, n)])
     values = np.asarray(F(x + unit[:, None, :] * hs[:, None]))
-    lead = values.shape[:-2]
-    along = values[..., 1:1 + 4 * n, :].reshape(lead + (4, n, npts))
-    across = values[..., 1 + 4 * n:, :].reshape(lead + (4, 4, ia.size, npts))
-
-    acc1 = 0.0
-    acc2 = _D2_CENTRE * values[..., :1, :]
-    for k, (w1, w2) in enumerate(zip(_D1_WEIGHTS, _D2_AT_D1)):
-        acc1 = acc1 + w1 * along[..., k, :, :]
-        acc2 = acc2 + w2 * along[..., k, :, :]
-    acc12 = 0.0
-    for ka, wa in enumerate(_D1_WEIGHTS):
-        for kb, wb in enumerate(_D1_WEIGHTS):
-            acc12 = acc12 + wa * wb * across[..., ka, kb, :, :]
-
-    d2 = np.empty(lead + (n, n, npts), dtype=np.result_type(values, float))
-    d2[..., range(n), range(n), :] = acc2 / (12.0 * hs * hs)
-    d2[..., ia, ib, :] = d2[..., ib, ia, :] = acc12 / (144.0 * hs * hs)
-    return acc1 / (12.0 * hs), d2
+    along = values[..., 1:, :].reshape(values.shape[:-2] + (4, n, npts))
+    acc = _D2_CENTRE * values[..., :1, :]
+    for k, w in enumerate(_D2_AT_D1):
+        acc = acc + w * along[..., k, :, :]
+    return acc / (12.0 * hs * hs)
 
 
 def complex_step_gradient(F, x: np.ndarray) -> np.ndarray:

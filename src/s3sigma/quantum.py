@@ -34,11 +34,9 @@ from .qpoly import MonomialBasis, QPoly, _power_table, eval_many, monomials, nod
 from .quadrature import QuadGrid, build_grid, integrate_values
 from .specfun import gegenbauer_series_coefficients
 
-# Relative finite-difference steps.  Second derivatives use a larger
-# base step and both shrink toward the chart equator, where the chart
-# representation of a smooth sphere function develops large higher
-# derivatives (scale rho^{1.5} and rho^{1.83} keep truncation and
-# roundoff balanced there).
+# Finite-difference steps along the group flows, relative to R, the same
+# at every point of the sphere.  Second differences lose more digits to
+# roundoff, so they take the larger step.
 _H1_REL = 1e-5
 _H2_REL = 2e-3
 
@@ -304,20 +302,11 @@ def _mapped(wf: WaveFunction, scale, name: str, axis: int = 0,
 # ---------------------------------------------------------------------------
 # finite-difference backends (work on any evaluator)
 
-def _q_of_eps(eps: np.ndarray, sign: np.ndarray, R: float) -> np.ndarray:
+def _q_of_eps(eps: np.ndarray, R: float) -> np.ndarray:
+    """Upper-hemisphere points (..., 4) of the chart coordinates eps (..., 3)."""
     s2 = np.sum(eps * eps, axis=-1) / (R * R)
-    q0 = sign * np.sqrt(np.clip(1.0 - s2, 0.0, None))
+    q0 = np.sqrt(np.clip(1.0 - s2, 0.0, None))
     return np.concatenate([q0[..., None], eps / R], axis=-1)
-
-
-def _fd_steps(q: np.ndarray, R: float, order: int) -> np.ndarray:
-    rho_abs = np.abs(q[..., 0])
-    eps_norm = R * np.sqrt(np.clip(1.0 - rho_abs ** 2, 0.0, None))
-    if order == 1:
-        h = _H1_REL * R * np.clip(rho_abs, 1e-2, 1.0) ** 1.5
-    else:
-        h = _H2_REL * R * np.clip(rho_abs, 2e-2, 1.0) ** 1.83
-    return np.minimum(h, (R - eps_norm) / 3.0)
 
 
 def _on_points(fn, q: np.ndarray) -> np.ndarray:
@@ -329,65 +318,28 @@ def _on_points(fn, q: np.ndarray) -> np.ndarray:
 def _fd_frame_derivs(fn, q: np.ndarray, R: float) -> tuple[np.ndarray, np.ndarray]:
     """Right- and left-frame derivatives (each (3, N)) of fn at the points q.
 
-    Where the chart stencil fits, the frame derivative is the contraction
-    Z[i, k] d_k f with d_k f taken by central differences; near the
-    equator the stencil is replaced by differencing f along the group
-    flow of the frame field itself, which never leaves the sphere.
+    They are d/ds of f(exp(s e_i) q) and f(q exp(s e_i)) at s = 0, by
+    central differences along the group flows of the frame fields, whose
+    stencil points all lie on the sphere.
     """
-    q = np.atleast_2d(np.asarray(q, dtype=float))
-    npts = q.shape[0]
-    eps = R * q[:, 1:]
-    sign = np.where(q[:, 0] >= 0.0, 1.0, -1.0)
-    h = _fd_steps(q, R, order=1)
-    usable = h > 1e-11 * R
-    fr = np.zeros((3, npts), dtype=complex)
-    fl = np.zeros((3, npts), dtype=complex)
+    p = np.atleast_2d(np.asarray(q, dtype=float))[:, None, None, :]
 
-    if usable.any():
-        e_u, s_u, h_u = eps[usable], sign[usable], h[usable]
-        q_u = q[usable]
-        derivs = numdiff.stencil_gradient(
-            lambda e: _on_points(fn, _q_of_eps(e, s_u[:, None, None], R))[..., None],
-            e_u, h_u[:, None])[:, 0, :].T
-        # Z[i, k] d_k = q0 d_i +- eta[k, i] d_k, with eta[k, i] = eps_kij q_j exact
-        eta = np.einsum("kij,nj->kin", LEVI_CIVITA, q_u[:, 1:])
-        acc_r = acc_l = q_u[:, 0] * derivs
-        for k in range(3):
-            acc_r = acc_r + eta[k] * derivs[k]
-            acc_l = acc_l - eta[k] * derivs[k]
-        fr[:, usable] = acc_r
-        fl[:, usable] = acc_l
+    def flows(s: np.ndarray) -> np.ndarray:
+        d = _q_of_eps(s, R)
+        return np.stack([_on_points(fn, quat_mul(d, p)),
+                         _on_points(fn, quat_mul(p, d))], axis=-1)
 
-    if (~usable).any():
-        # d/ds of f(exp(s e_i) q) and f(q exp(s e_i)) at s = 0
-        p = q[~usable][:, None, None, :]
-
-        def flows(s: np.ndarray) -> np.ndarray:
-            d = _q_of_eps(s, 1.0, R)
-            return np.stack([_on_points(fn, quat_mul(d, p)),
-                             _on_points(fn, quat_mul(p, d))], axis=-1)
-
-        jac = numdiff.stencil_gradient(flows, np.zeros((p.shape[0], 3)), _H1_REL * R)
-        fr[:, ~usable] = jac[:, 0, :].T
-        fl[:, ~usable] = jac[:, 1, :].T
-    return fr, fl
-
-
-#: below this |rho| the chart stencil loses accuracy faster than any step
-#: law can recover (derivatives of the chart representation grow like
-#: rho^(1-2k)); those points are routed through a left translation to the
-#: chart origin, where the operator reduces to the flat second-derivative
-#: stencil.
-_ROUTE_RHO = 0.15
+    jac = numdiff.stencil_gradient(flows, np.zeros((p.shape[0], 3)), _H1_REL * R)
+    return jac[:, 0, :].T, jac[:, 1, :].T
 
 
 #: points per block of the finite-difference Laplacian, which bounds the
 #: stencil values held at once when fn returns many rows per point.
-_FD_BLOCK = 128
+_FD_BLOCK = 256
 
 
 def _fd_laplace_beltrami(fn, q: np.ndarray, R: float) -> np.ndarray:
-    """Chart-formula Laplacian by central differences at the points q.
+    """Laplace-Beltrami operator by central differences along geodesics at the points q.
 
     fn maps points (n, 4) to values (..., n); the result keeps those
     leading axes, so one call differences a whole family of functions.
@@ -398,31 +350,13 @@ def _fd_laplace_beltrami(fn, q: np.ndarray, R: float) -> np.ndarray:
 
 
 def _fd_laplace_block(fn, q: np.ndarray, R: float) -> np.ndarray:
-    h = _fd_steps(q, R, order=2)
-    usable = (h > 1e-10 * R) & (np.abs(q[:, 0]) >= _ROUTE_RHO)
-    # Equator routing: the Laplacian commutes with left translations, so a
-    # routed point p is differenced at the chart origin of f(p .), where
-    # the chart formula below is the trace of the flat Hessian.
-    e = np.where(usable[:, None], R * q[:, 1:], 0.0)
-    sign = np.where(usable & (q[:, 0] < 0.0), -1.0, 1.0)
-
-    def at(x: np.ndarray) -> np.ndarray:
-        qq = _q_of_eps(x, sign, R)
-        qq[:, ~usable] = quat_mul(q[~usable], qq[:, ~usable])
-        return _on_points(fn, qq)
-
-    d1, d2 = numdiff.stencil_hessian(at, e, np.where(usable, h, _H2_REL * R))
-    lap = 0.0
-    for k in range(3):
-        lap = lap - (3.0 / (R * R)) * e[:, k] * d1[..., k, :]
-    for k in range(3):
-        akk = 1.0 - e[:, k] * e[:, k] / (R * R)
-        lap = lap + akk * d2[..., k, k, :]
-    for a in range(3):
-        for b in range(a + 1, 3):
-            aab = -e[:, a] * e[:, b] / (R * R)
-            lap = lap + 2.0 * aab * d2[..., a, b, :]
-    return lap
+    # The curves s -> q d(s e_a), d = _q_of_eps, are the geodesics
+    # q exp(theta e_a) with sin(theta) = s / R, so theta''(0) = 0 and the
+    # second derivative at s = 0 is the geodesic one.  Three orthonormal
+    # geodesics through q give the Laplacian as the trace of the Hessian.
+    d2 = numdiff.stencil_second(lambda s: _on_points(fn, quat_mul(q, _q_of_eps(s, R))),
+                                np.zeros((q.shape[0], 3)), _H2_REL * R)
+    return d2[..., 0, :] + d2[..., 1, :] + d2[..., 2, :]
 
 
 # ---------------------------------------------------------------------------
@@ -523,8 +457,11 @@ def apply_hamiltonian(wf: WaveFunction, cfg: SpaceConfig,
     """Energy operator through either of two independent routes.
 
     backend 'via_nu' contracts two velocity operators with (m/2); the
-    'laplace_beltrami' backend applies the displayed second-order chart
-    operator -(1/2m)[-(3/R^2) eps . d + (d^km - eps^k eps^m / R^2) d^2].
+    'laplace_beltrami' backend applies -(1/2m) times the Laplace-Beltrami
+    operator: analytically the displayed second-order chart operator
+    -(1/2m)[-(3/R^2) eps . d + (d^km - eps^k eps^m / R^2) d^2], and by
+    finite differences the sum of second derivatives along three
+    orthonormal geodesics q exp(t e_a / R) through each point.
     """
     if backend not in ("via_nu", "laplace_beltrami"):
         raise DomainError("backend must be 'via_nu' or 'laplace_beltrami'")

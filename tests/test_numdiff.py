@@ -11,7 +11,7 @@ from s3sigma.qpoly import MonomialBasis
 from s3sigma.quadrature import build_grid
 
 # Exponents (a, b, c) of x^a y^b z^c with every exponent at most 4: the
-# fourth-order first-derivative and mixed stencils are exact on them.
+# fourth-order first- and second-derivative stencils are exact on them.
 _EXPONENTS = np.array(list(itertools.product(range(5), repeat=3)))
 
 
@@ -47,32 +47,24 @@ def _points_and_steps(rng, count=40):
     return rng.uniform(-0.6, 0.6, size=(count, 3)), rng.uniform(0.05, 0.3, size=count)
 
 
-def test_stencil_hessian_is_exact_on_degree_four_per_axis(rng):
-    x, h = _points_and_steps(rng)
-    coef = rng.normal(size=(2, len(_EXPONENTS)))
-    grad, hess = _derivatives(coef, x)
-    d1, d2 = numdiff.stencil_hessian(lambda p: _values(coef, p), x, h)
-    assert d1.shape == (2, 3, 40) and d2.shape == (2, 3, 3, 40)
-    np.testing.assert_allclose(d1, grad, rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(d2, hess, rtol=0.0, atol=5e-11)
-
-
-def test_stencil_hessian_diagonal_is_exact_on_degree_five(rng):
+def test_stencil_second_diagonal_is_exact_on_degree_five(rng):
     x, h = _points_and_steps(rng)
     c = rng.normal(size=3)
-    _, d2 = numdiff.stencil_hessian(lambda p: np.sum(c * p ** 5, axis=-1), x, h)
-    np.testing.assert_allclose(np.einsum("iin->in", d2), 20.0 * c[:, None] * x.T ** 3,
-                               rtol=0.0, atol=1e-12)
+    d2 = numdiff.stencil_second(lambda p: np.sum(c * p ** 5, axis=-1), x, h)
+    assert d2.shape == (3, 40)
+    np.testing.assert_allclose(d2, 20.0 * c[:, None] * x.T ** 3, rtol=0.0, atol=1e-12)
 
 
-def test_stencil_hessian_stacked_functions_equal_single_calls(rng):
+def test_stencil_second_stacked_functions_equal_single_calls(rng):
     x, h = _points_and_steps(rng)
     coef = rng.normal(size=(3, len(_EXPONENTS)))
-    stacked = numdiff.stencil_hessian(lambda p: _values(coef, p), x, h)
+    _, hess = _derivatives(coef, x)
+    stacked = numdiff.stencil_second(lambda p: _values(coef, p), x, h)
+    assert stacked.shape == (3, 3, 40)
+    np.testing.assert_allclose(stacked, np.einsum("fiin->fin", hess), rtol=0.0, atol=5e-11)
     for k in range(3):
-        single = numdiff.stencil_hessian(lambda p: _values(coef[k:k + 1], p), x, h)
-        for a, b in zip(stacked, single):
-            np.testing.assert_array_equal(a[k], b[0])
+        single = numdiff.stencil_second(lambda p: _values(coef[k:k + 1], p), x, h)
+        np.testing.assert_array_equal(stacked[k], single[0])
 
 
 def test_stencil_gradient_is_exact_with_per_point_steps(rng):
