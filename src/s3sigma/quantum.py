@@ -371,12 +371,13 @@ def _resolve_method(wf: WaveFunction, method: str) -> str:
 
 
 def _fd_operator(wf: WaveFunction, image) -> WaveFunction:
-    """Finite-difference operator image: image(wf.eval_q, q) at points q, in q's shape."""
+    """Finite-difference operator image: image(wf.eval_q, q) at points q (..., 4),
+    which image takes as one (K, 4) array; values in q's shape."""
     fn = wf.eval_q
 
     def op(q: np.ndarray) -> np.ndarray:
         q = np.asarray(q)
-        return image(fn, q).reshape(q.shape[:-1])
+        return image(fn, q.reshape(-1, 4)).reshape(q.shape[:-1])
 
     return WaveFunction(evaluator=op)
 

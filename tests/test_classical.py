@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from s3sigma import (ChartCoords, DomainError, PhaseState, SpaceConfig, StencilError,
                      dual_field, geodesic_exact, geodesic_integrate,
@@ -9,11 +11,12 @@ from s3sigma import (ChartCoords, DomainError, PhaseState, SpaceConfig, StencilE
                      momentum, poisson_bracket, verify_basic_algebra)
 from s3sigma import suite
 from s3sigma.classical import (_BASIS_NAMES, SolutionPoint, _bracket_matrix, _embed,
-                               _sample_solution_points,
+                               _jacobi_sums, _sample_solution_points,
                                angular_frequency, geodesic_equation_residual,
                                invariant_velocities, jacobi_residual,
                                theta_of_darboux)
 from s3sigma.geometry import LEVI_CIVITA, canonical_one_form, rho, sample_chart_points
+from s3sigma.reports import DEFAULT_TOLERANCES
 
 
 def state(eps, vel, sign=+1):
@@ -297,8 +300,14 @@ def _basis(cfg, sp):
     return funcs
 
 
+def _solution_points(rows, cfg, sign=+1):
+    """SolutionPoints of Darboux rows (eps, pi), with theta from theta_of_darboux."""
+    return [SolutionPoint(r[:3], theta_of_darboux(r[:3], r[3:], cfg, sign), r[3:], sign)
+            for r in rows]
+
+
 def test_position_brackets_vanish(cfg, rng):
-    sp = _sample_solution_points(rng, cfg, 1)[0]
+    sp, = _solution_points(_sample_solution_points(rng, cfg, 1), cfg)
     f = _basis(cfg, sp)
     assert abs(poisson_bracket(f["eps1"], f["eps2"], sp, cfg)) < 1e-10
     assert abs(poisson_bracket(f["eps1"], f["rho"], sp, cfg)) < 1e-10
@@ -306,7 +315,7 @@ def test_position_brackets_vanish(cfg, rng):
 
 def test_eps_theta_bracket_display(cfg, rng):
     # unit mass: {eps^i, theta_j} = eta^i_{jk} eps^k / R + rho delta^i_j
-    for sp in _sample_solution_points(rng, cfg, 10):
+    for sp in _solution_points(_sample_solution_points(rng, cfg, 10), cfg):
         f = _basis(cfg, sp)
         r0 = rho(ChartCoords(sp.eps0, sp.rho_sign), cfg)
         for i in range(3):
@@ -350,7 +359,7 @@ def test_verify_basic_algebra_general_mass_measures_model(cfg_odd):
 
 
 def test_jacobi_identity_sample(cfg, rng):
-    sp = _sample_solution_points(rng, cfg, 1, 0.6)[0]
+    sp, = _solution_points(_sample_solution_points(rng, cfg, 1, 0.6), cfg)
     for triple in (("eps1", "theta2", "theta3"), ("theta1", "theta2", "rho"),
                    ("eps1", "eps2", "theta3")):
         assert jacobi_residual(triple, sp, cfg) < 1e-6
@@ -368,15 +377,14 @@ def test_bracket_matrix_matches_scalar_brackets_on_both_hemispheres(cfg_odd, rng
         funcs["rho"] = lambda e, p: rho(ChartCoords(e, sign), cfg_odd)
         return funcs
 
-    pts = []
-    for sign in (+1, -1, +1, -1):
+    rows, signs = [], np.array([+1, -1, +1, -1])
+    for _ in signs:
         eps = 0.6 * cfg_odd.R * rng.uniform(-1.0, 1.0, size=3) / math.sqrt(3.0)
-        pi = cfg_odd.m * rng.normal(size=3)
-        pts.append(SolutionPoint(eps, theta_of_darboux(eps, pi, cfg_odd, sign), pi, sign))
-    for sp in pts:
-        mat = _bracket_matrix(sp, cfg_odd)
+        rows.append(np.concatenate([eps, cfg_odd.m * rng.normal(size=3)]))
+    for row, sign, mat in zip(rows, signs, _bracket_matrix(np.array(rows), signs, cfg_odd)):
         assert np.array_equal(mat, -mat.T)
-        funcs = reference_basis(sp.rho_sign)
+        sp, = _solution_points([row], cfg_odd, sign)
+        funcs = reference_basis(sign)
         want = np.array([[poisson_bracket(funcs[a], funcs[b], sp, cfg_odd)
                           for b in _BASIS_NAMES] for a in _BASIS_NAMES])
         np.testing.assert_allclose(mat, want, rtol=0.0, atol=1e-10)
@@ -396,7 +404,7 @@ def test_check_poisson_passes_at_seed_210():
 
 def test_brackets_close_on_span(cfg, rng):
     # every pairwise bracket of the 7 functions stays in their linear span
-    pts = _sample_solution_points(rng, cfg, 12, 0.6)
+    pts = _solution_points(_sample_solution_points(rng, cfg, 12, 0.6), cfg)
     names = ["eps1", "eps2", "eps3", "theta1", "theta2", "theta3", "rho"]
     design = []
     for sp in pts:
@@ -412,3 +420,72 @@ def test_brackets_close_on_span(cfg, rng):
             vals = np.array(vals)
             coef, *_ = np.linalg.lstsq(design, vals, rcond=None)
             assert np.max(np.abs(design @ coef - vals)) < 1e-6
+
+
+@pytest.mark.parametrize("R,m", [(1.3, 0.7), (0.5, 0.5)])
+def test_batched_bracket_and_jacobi_tensors_equal_single_rows(R, m, rng):
+    # both hemispheres, |eps| up to 0.95 R: one call on all rows gives each
+    # row the bits of its own N = 1 call
+    cfg = SpaceConfig(R, m)
+    pts = sample_chart_points(rng, cfg, 20, 0.95)
+    x = np.hstack([[c.eps for c in pts], m * rng.normal(size=(20, 3))])
+    x[0, :3] *= 0.95 * R / np.linalg.norm(x[0, :3])
+    signs = np.array([c.rho_sign for c in pts])
+    assert set(signs.tolist()) == {-1, 1}
+    for kernel in (_bracket_matrix, _jacobi_sums):
+        singles = np.array([kernel(row, sign, cfg) for row, sign in zip(x, signs)])
+        assert np.array_equal(kernel(x, signs, cfg), singles)
+
+
+def _closed_form_brackets(eps, pi, sign, cfg):
+    """The basic algebra's table {f, g} at one Darboux row, theta from geometry's frame.
+
+    {eps, eps} = {eps, rho} = 0, {eps_i, theta_j} = (eta_ijk eps_k / R +
+    rho delta_ij) / m, {theta_i, theta_j} = 2 eta_ijk theta_k / (m R) and
+    {theta_i, rho} = eps_i / (m R^2).
+    """
+    c = ChartCoords(eps, sign)
+    theta = dual_field(c, "right", cfg) @ pi / cfg.m
+    upper = np.zeros((7, 7))
+    upper[:3, 3:6] = (LEVI_CIVITA @ eps / cfg.R + rho(c, cfg) * np.eye(3)) / cfg.m
+    upper[3:6, 6] = eps / (cfg.m * cfg.R ** 2)
+    table = upper - upper.T
+    table[3:6, 3:6] = 2.0 * (LEVI_CIVITA @ theta) / (cfg.m * cfg.R)
+    return table
+
+
+#: (eps / R, hemisphere, pi / m) of one Darboux row; an eps / R from the
+#: cube outside the ball |eps| <= 0.99 R is moved onto its boundary.
+_DARBOUX_ROW = st.tuples(st.lists(st.floats(-0.99, 0.99), min_size=3, max_size=3),
+                         st.sampled_from([-1, 1]),
+                         st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.5, 3.0), st.floats(0.5, 1.0), st.lists(_DARBOUX_ROW, min_size=1, max_size=4))
+# The worst rows of a sweep over seeds 0-4, (R, m) in {0.5, 1, 1.3, 3} x
+# {0.5, 0.7, 1}, 100 bracket and 10 Jacobi rows per seed drawn as
+# verify_basic_algebra draws them but on both hemispheres up to 0.99 R:
+# bracket row 98 of seed 2 (4.8e-10 off the table) and Jacobi row 6 of
+# seed 0 (3.96e-9), both at R = m = 0.5, where they are rebuilt bit for bit.
+@example(0.5, 0.5, [
+    ([-0.6428908931455245, 0.6366371961093628, -0.39986236802370456], -1,
+     [-2.173997513558657, 0.8869023691567502, -1.6767091476623874]),
+    ([-0.5423560967896492, 0.39242409505032444, -0.72724113923162], 1,
+     [1.7134908885015603, -0.6323390096507158, 0.5205964182011031])])
+def test_basic_algebra_holds_on_the_whole_chart_ball(R, m, rows):
+    # both hemispheres up to 0.99 R: the five families against their table
+    # at the criterion 6 tolerance, and every Jacobi sum at its tolerance
+    cfg = SpaceConfig(R, m)
+    x, signs = [], []
+    for unit, sign, momentum in rows:
+        u, norm = np.array(unit), np.linalg.norm(unit)
+        if norm > 0.99:
+            u *= 0.99 / norm
+        x.append(np.concatenate([R * u, m * np.array(momentum)]))
+        signs.append(sign)
+    x, signs = np.array(x), np.array(signs)
+    for row, sign, got in zip(x, signs, _bracket_matrix(x, signs, cfg)):
+        want = _closed_form_brackets(row[:3], row[3:], sign, cfg)
+        assert np.max(np.abs(got - want)) < DEFAULT_TOLERANCES["poisson"]
+    assert np.max(np.abs(_jacobi_sums(x, signs, cfg))) < DEFAULT_TOLERANCES["jacobi"]

@@ -547,6 +547,21 @@ def test_fd_routing_at_equator():
     np.testing.assert_allclose(h_fd, h_an, atol=1e-6)
 
 
+def test_fd_operators_keep_the_shape_of_stacked_points(rng):
+    # points (2, 3, 4), as every WaveFunction evaluator takes them
+    cfg = SpaceConfig(1.3, 0.7)
+    q = _random_interior_q(rng, 6, both=True).reshape(2, 3, 4)
+    wf = psi(SpectralLabel(3, 2, 1), cfg)
+    blind = WaveFunction(evaluator=wf.eval_q)
+    operators = [(lambda w, meth, op=op: op(1, w, cfg, method=meth))
+                 for op in (apply_nu, apply_J, left_action_operator)]
+    operators.append(lambda w, meth: apply_hamiltonian(w, cfg, "laplace_beltrami", meth))
+    for apply in operators:
+        fd = apply(blind, "fd").eval_q(q)
+        assert fd.shape == (2, 3)
+        np.testing.assert_allclose(fd, apply(wf, "analytic").eval_q(q), rtol=0.0, atol=1e-8)
+
+
 def _equator_band_q(rng, count):
     """Points with |rho| < 0.15 on both hemispheres."""
     pts = rng.normal(size=(count, 3))
