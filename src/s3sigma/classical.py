@@ -392,15 +392,14 @@ def theta_of_darboux(eps: np.ndarray, pi: np.ndarray, cfg: SpaceConfig,
     return _basis_values(x, cfg, rho_sign)[3:6]
 
 
-def poisson_bracket(f, g, at: SolutionPoint, cfg: SpaceConfig,
-                    h_eps: float | None = None, h_pi: float | None = None) -> float:
+def poisson_bracket(f, g, at: SolutionPoint, cfg: SpaceConfig) -> float:
     """Canonical bracket {f, g} = df/deps . dg/dpi - df/dpi . dg/deps.
 
     f and g take (eps, pi) arrays and return scalars; all derivatives
     are 4th-order central differences taken at the solution point.
     """
     e0, p0 = at.eps0, at.pi0
-    h = _stencil_steps(np.concatenate([e0, p0]), cfg, h_eps, h_pi)
+    h = _stencil_steps(np.concatenate([e0, p0]), cfg)
 
     def df(func):
         de = np.array([numdiff.partial(lambda y: func(y, p0), e0, i, h[i])
@@ -422,14 +421,11 @@ def _sample_solution_points(rng: np.random.Generator, cfg: SpaceConfig,
     return np.hstack((np.reshape(eps, (count, 3)), cfg.m * rng.normal(size=(count, 3))))
 
 
-def _stencil_steps(x, cfg: SpaceConfig, h_eps: float | None = None,
-                   h_pi: float | None = None) -> np.ndarray:
-    """Steps (..., 6) for the Darboux rows x (..., 6); by default 1e-5 R along eps and
+def _stencil_steps(x, cfg: SpaceConfig) -> np.ndarray:
+    """Steps (..., 6) for the Darboux rows x (..., 6): 1e-5 R along eps and
     1e-5 max(1, |pi|) along pi, |pi| rounded as np.linalg.norm rounds it."""
-    if h_eps is None:
-        h_eps = numdiff.DEFAULT_REL_STEP * cfg.R
-    if h_pi is None:
-        h_pi = numdiff.DEFAULT_REL_STEP * np.maximum(1.0, np.sqrt(_dot(x[..., 3:], x[..., 3:])))
+    h_eps = numdiff.DEFAULT_REL_STEP * cfg.R
+    h_pi = numdiff.DEFAULT_REL_STEP * np.maximum(1.0, np.sqrt(_dot(x[..., 3:], x[..., 3:])))
     _check_stencil_margin(x[..., :3], h_eps, cfg, "bracket stencil would leave the chart")
     return np.where(np.arange(6) < 3, h_eps, np.expand_dims(h_pi, -1))
 

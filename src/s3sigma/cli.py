@@ -25,18 +25,14 @@ EXIT_RESIDUAL = 1
 EXIT_USAGE = 2
 
 
-def _parse_vector(text: str) -> list[float]:
-    parts = [p for p in text.replace(",", " ").split() if p]
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected 3 components, got {text!r}")
-    return [float(p) for p in parts]
-
-
-def _parse_grid(text: str) -> tuple[int, int, int]:
-    parts = [p for p in text.replace(",", " ").split() if p]
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected 3 orders, got {text!r}")
-    return tuple(int(p) for p in parts)
+def _triple(kind):
+    """Flag type for three comma- or space-separated values."""
+    def triple(text: str) -> tuple:
+        parts = text.replace(",", " ").split()
+        if len(parts) != 3:
+            raise argparse.ArgumentTypeError(f"expected 3 values, got {text!r}")
+        return tuple(kind(p) for p in parts)
+    return triple
 
 
 def _count(low: int):
@@ -56,9 +52,9 @@ def _parse_tol(text: str) -> tuple[str, float]:
     return name.strip(), float(value)
 
 
-def _read_config_file(path: str) -> dict:
-    """Flat key = value file; '#' starts a comment; keys match the flags."""
-    values: dict = {}
+def _config_flags(path: str) -> list[str]:
+    """The flags a flat key = value file stands for; '#' starts a comment."""
+    flags = []
     with open(path, "r", encoding="utf-8") as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
@@ -68,68 +64,36 @@ def _read_config_file(path: str) -> dict:
                 raise DomainError(f"bad config line: {raw.rstrip()}")
             key, val = (s.strip() for s in line.split("=", 1))
             if key.startswith("tol."):
-                values.setdefault("tol", {})[key[4:]] = float(val)
-            elif key in ("radius", "mass"):
-                values[key] = float(val)
-            elif key == "seed":
-                values[key] = int(val)
-            elif key == "grid":
-                values[key] = _parse_grid(val)
-            elif key == "format":
-                if val not in ("csv", "json"):
-                    raise DomainError(f"config format must be csv or json, got {val!r}")
-                values[key] = val
-            elif key == "out":
-                values[key] = val
+                flags.append(f"--tol={key[4:]}={val}")
+            elif key in ("radius", "mass", "seed", "grid", "format", "out"):
+                flags.append(f"--{key}={val}")
             else:
                 raise DomainError(f"unknown config key {key!r}")
-    return values
+    return flags
 
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--radius", type=float, default=None, help="sphere radius R")
-    p.add_argument("--mass", type=float, default=None, help="particle mass m")
-    p.add_argument("--seed", type=int, default=None, help="random seed")
-    p.add_argument("--grid", type=_parse_grid, default=None,
+    p.add_argument("--radius", type=float, default=suite.RunConfig.R, help="sphere radius R")
+    p.add_argument("--mass", type=float, default=suite.RunConfig.m, help="particle mass m")
+    p.add_argument("--seed", type=int, default=suite.RunConfig.seed, help="random seed")
+    p.add_argument("--grid", type=_triple(int), default=suite.RunConfig.grid,
                    metavar="NCHI,NTHETA,NPHI", help="quadrature orders")
     p.add_argument("--tol", type=_parse_tol, action="append", default=[],
                    metavar="NAME=VALUE", help="tolerance override (repeatable)")
     p.add_argument("--config", default=None, help="key=value config file")
     p.add_argument("--out", default=None, help="output path")
-    p.add_argument("--format", choices=("csv", "json"), default=None)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def _run_config(args) -> suite.RunConfig:
-    filecfg = _read_config_file(args.config) if args.config else {}
-    tols = dict(filecfg.get("tol", {}))
-    tols.update(dict(args.tol))
-
-    def pick(flag, key, default):
-        if flag is not None:
-            return flag
-        return filecfg.get(key, default)
-
-    # flags beat the config file for the output controls too
-    if args.out is None:
-        args.out = filecfg.get("out")
-    if args.format is None:
-        args.format = filecfg.get("format")
-
-    return suite.RunConfig(
-        R=float(pick(args.radius, "radius", 1.0)),
-        m=float(pick(args.mass, "mass", 1.0)),
-        seed=int(pick(args.seed, "seed", 0)),
-        grid=tuple(pick(args.grid, "grid", (24, 16, 32))),
-        tolerances=tols,
-    )
+    return suite.RunConfig(args.radius, args.mass, args.seed, args.grid, dict(args.tol))
 
 
 def _emit(args, payload: dict, exit_code: int) -> int:
-    text = to_json(payload) + "\n"
     if args.out:
         write_json(args.out, payload)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(to_json(payload) + "\n")
     return exit_code
 
 
@@ -147,15 +111,15 @@ def cmd_geodesic(args) -> int:
     init = classical.PhaseState(
         ChartCoords(np.asarray(args.eps0), +1), np.asarray(args.vel0))
     traj = classical.geodesic_integrate(init, args.t_end, args.steps, cfg)
-    h_drift, th_drift, endpoint, ok = suite.geodesic_deviations(rc, init, traj, args.t_end)
+    drifts = suite.geodesic_deviations(rc, init, traj, args.t_end)
     summary = {
         "suite": SUITE_VERSION,
         "config": rc.as_dict(),
         "t_end": args.t_end,
         "steps": args.steps,
-        "max_h_drift": h_drift,
-        "max_theta_drift": th_drift,
-        "endpoint_deviation": endpoint,
+        "max_h_drift": drifts[0].value,
+        "max_theta_drift": drifts[1].value,
+        "endpoint_deviation": drifts[2].value,
         "warnings": traj.warnings,
     }
     if args.out:
@@ -168,7 +132,8 @@ def cmd_geodesic(args) -> int:
         write_json(args.out + ".json", summary)
     else:
         sys.stdout.write(to_json(summary) + "\n")
-    return EXIT_OK if ok else EXIT_RESIDUAL
+    passed = suite.CheckResult.judged("geodesic", summary, *drifts).passed
+    return EXIT_OK if passed else EXIT_RESIDUAL
 
 
 def cmd_groupcheck(args) -> int:
@@ -204,7 +169,7 @@ def cmd_spectrum(args) -> int:
     else:
         rows = quantum.spectrum(args.n_max, cfg)
         header, keys = ["n", "E", "degeneracy"], ["n", "energy", "degeneracy"]
-    if args.out and (args.format or "csv") == "csv":
+    if args.out and args.format == "csv":
         write_csv(args.out, header, [[r[k] for k in keys] for r in rows])
         return EXIT_OK
     payload = {"suite": SUITE_VERSION, "config": rc.as_dict(), "rows": rows}
@@ -247,17 +212,12 @@ def cmd_poisson(args) -> int:
 def cmd_all(args) -> int:
     rc = _run_config(args)
     t0 = time.monotonic()
-    results = []
 
     def progress(number: str, res: suite.CheckResult) -> None:
         status = "PASS" if res.passed else "FAIL"
-        keys = [k for k in res.details
-                if isinstance(res.details[k], float) and "max" in k][:2]
-        extra = " ".join(f"{k}={res.details[k]:.3g}" for k in keys)
-        print(f"criterion {number} ({res.name}): {status} {extra}".rstrip())
+        print(f"criterion {number} ({res.name}): {status} {res.thinnest() or ''}".rstrip())
 
-    for number, res in suite.run_all(rc, progress):
-        results.append((number, res))
+    results = suite.run_all(rc, progress)
     payload = {
         "suite": SUITE_VERSION,
         "config": rc.as_dict(),
@@ -280,8 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("geodesic", help="integrate a geodesic and report drifts")
     _common_flags(p)
-    p.add_argument("--eps0", type=_parse_vector, default=[0.2, 0.0, 0.0])
-    p.add_argument("--vel0", type=_parse_vector, default=[0.0, 1.0, 0.0])
+    p.add_argument("--eps0", type=_triple(float), default=[0.2, 0.0, 0.0])
+    p.add_argument("--vel0", type=_triple(float), default=[0.0, 1.0, 0.0])
     p.add_argument("--t-end", type=float, default=20.0)
     p.add_argument("--steps", type=int, default=2000)
     p.set_defaults(fn=cmd_geodesic)
@@ -328,13 +288,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            # the file's flags go first, so the given ones win
+            args = parser.parse_args([argv[0], *_config_flags(args.config), *argv[1:]])
+        return args.fn(args)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    try:
-        return args.fn(args)
     except (DomainError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -445,14 +445,6 @@ def left_action_operator(axis: int, wf: WaveFunction, cfg: SpaceConfig,
     return _fd_operator(wf, lambda fn, q: _fd_frame_derivs(fn, q, cfg.R)[1][axis])
 
 
-def right_action_operator(axis: int, wf: WaveFunction, cfg: SpaceConfig,
-                          method: str = "auto") -> WaveFunction:
-    """Right-frame derivative operator Z_right[axis, k] d_k (= i m nu)."""
-    if axis in (0, 1, 2) and _resolve_method(wf, method) == "analytic":
-        return _mapped(wf, 1.0 / cfg.R, "right", axis)
-    return _wf_sum([apply_nu(axis, wf, cfg, method)], 1j * cfg.m)
-
-
 def apply_hamiltonian(wf: WaveFunction, cfg: SpaceConfig,
                       backend: str = "via_nu", method: str = "auto") -> WaveFunction:
     """Energy operator through either of two independent routes.
@@ -482,10 +474,6 @@ def _wf_sum(wfs: list[WaveFunction], s) -> WaveFunction:
 
 # ---------------------------------------------------------------------------
 # quadrature-level diagnostics
-
-def inner_product(a: WaveFunction, b: WaveFunction, grid: QuadGrid) -> complex:
-    return integrate_values(np.conj(a.eval_q(grid.q)) * b.eval_q(grid.q), grid)
-
 
 def gram_matrix(n_max: int, grid: QuadGrid, cfg: SpaceConfig):
     """Labels and Gram matrix of the orthonormal basis through n_max.
@@ -691,12 +679,7 @@ class SmoothBump:
         return out
 
 
-def default_test_functions(r0: float) -> list[SmoothBump]:
-    return [SmoothBump(r0, "one"), SmoothBump(r0, "linear"), SmoothBump(r0, "cross")]
-
-
-def contraction_study(R_values, test_functions=None, cfg: SpaceConfig | None = None,
-                      r0: float = 1.0, box_points: int = 5) -> dict:
+def contraction_study(R_values, cfg: SpaceConfig | None = None, r0: float = 1.0) -> dict:
     """Deviation of the curved operators from their flat limits.
 
     For each radius R the curved velocity operator is compared against
@@ -712,10 +695,8 @@ def contraction_study(R_values, test_functions=None, cfg: SpaceConfig | None = N
         raise DomainError(
             "test-function support must be well inside the chart: require "
             f"min(R) >= 10 r0, got min(R) = {min(radii)}, r0 = {r0}")
-    if test_functions is None:
-        test_functions = default_test_functions(r0)
-
-    axis = np.linspace(-0.9 * r0, 0.9 * r0, box_points)
+    test_functions = [SmoothBump(r0, kind) for kind in ("one", "linear", "cross")]
+    axis = np.linspace(-0.9 * r0, 0.9 * r0, 5)
     xs, ys, zs = np.meshgrid(axis, axis, axis, indexing="ij")
     box = np.stack([xs.ravel(), ys.ravel(), zs.ravel()], axis=-1)
 

@@ -144,10 +144,6 @@ def element_from_coords(x: np.ndarray, rho_sign: int, cfg: SpaceConfig) -> Sigma
                              cmath.exp(1j * float(x[7])), cfg)
 
 
-def element_coords(g: SigmaGroupElement) -> np.ndarray:
-    return np.concatenate((g.eps, g.nu, [g.z], [g.phi]))
-
-
 def compose_many(gp: ElementBatch, g: ElementBatch, cfg: SpaceConfig) -> ElementBatch:
     """Group law gp[k] * g[k] for every k (gp acts from the left).
 
@@ -208,12 +204,6 @@ def compose(gp: SigmaGroupElement, g: SigmaGroupElement,
 def inverse(g: SigmaGroupElement, cfg: SpaceConfig) -> SigmaGroupElement:
     """Two-sided inverse; the N = 1 case of inverse_many."""
     return inverse_many(g.batch, cfg)[0]
-
-
-def element_distance(a: SigmaGroupElement, b: SigmaGroupElement,
-                     cfg: SpaceConfig) -> float:
-    """Distance of two elements; the N = 1 case of distance_many."""
-    return float(distance_many(a.batch, b.batch, cfg)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -455,11 +445,6 @@ def bracket_table_report(g: SigmaGroupElement, cfg: SpaceConfig) -> dict:
     return {"max_coefficient_deviation": worst, "pairs": rows}
 
 
-def mixed_bracket_residual(g: SigmaGroupElement, cfg: SpaceConfig) -> float:
-    """Max norm over all [left, right] numerical brackets (should vanish)."""
-    return float(bracket_residuals(g.batch, cfg)[1][0])
-
-
 def characteristic_many(b: ElementBatch, cfg: SpaceConfig) -> dict:
     """characteristic_check at every element of a batch, as (N,) arrays,
     plus "theta_on_right" (N, 8), the pairings of Theta with the right fields."""
@@ -525,12 +510,6 @@ def sample_batch(rng: np.random.Generator, cfg: SpaceConfig, count: int,
     eps *= np.fromiter((scale * float(r) ** (1.0 / 3.0) for r in u), float, count)[:, None]
     zeta = np.fromiter((cmath.exp(1j * float(a)) for a in phase), complex, count)
     return ElementBatch.from_chart(eps, np.ones(count, dtype=int), nu, z, zeta, cfg)
-
-
-def sample_elements(rng: np.random.Generator, cfg: SpaceConfig, count: int,
-                    radius_fraction: float | None = None) -> list[SigmaGroupElement]:
-    """sample_batch as a list of elements."""
-    return list(sample_batch(rng, cfg, count, radius_fraction))
 
 
 def group_axiom_residuals(rng: np.random.Generator, cfg: SpaceConfig,

@@ -1,14 +1,16 @@
 """The verification suite behind both the CLI and the acceptance tests.
 
 Each check returns a CheckResult whose details dictionary is stable
-under a fixed configuration and seed; the pass flag compares measured
-residuals against the tolerance registry.
+under a fixed configuration and seed; it passes when every bound it
+states holds (CheckResult.judged, the one pass rule).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,11 +57,45 @@ class RunConfig:
                 "grid": list(self.grid), "tolerances": tols}
 
 
+_COMPARE = {"<": operator.lt, ">": operator.gt, ">=": operator.ge, "==": operator.eq}
+
+
+class Bound(NamedTuple):
+    """One judged metric: `value` must stand in `comparison` to `limit`."""
+    metric: str
+    value: float
+    comparison: str  # "<" an upper bound, ">" or ">=" a lower one, "==" a flag
+    limit: float
+
+    def holds(self) -> bool:
+        return bool(_COMPARE[self.comparison](self.value, self.limit))
+
+    def headroom(self) -> float:
+        """limit / value for an upper bound, value / limit for a lower one."""
+        num, den = (self.limit, self.value) if self.comparison == "<" else (self.value, self.limit)
+        return num / den if den else math.inf
+
+    def __str__(self) -> str:
+        return f"{self.metric}={self.value:.3g} {self.comparison} {self.limit:.3g}"
+
+
 @dataclass
 class CheckResult:
     name: str
     passed: bool
     details: dict
+    bounds: tuple = ()  # the Bounds `passed` was judged from; not serialised
+
+    @staticmethod
+    def judged(name: str, details: dict, *bounds) -> "CheckResult":
+        """The pass rule of every check: it passes when all its bounds hold."""
+        bounds = tuple(Bound(*b) for b in bounds)
+        return CheckResult(name, all(b.holds() for b in bounds), details, bounds)
+
+    def thinnest(self) -> Bound | None:
+        """The bound with the least headroom, failing ones first; flags have none."""
+        numeric = [b for b in self.bounds if b.comparison != "=="]
+        return min(numeric, key=lambda b: (b.holds(), b.headroom()), default=None)
 
     def as_dict(self) -> dict:
         return {"name": self.name, "passed": self.passed, "details": self.details}
@@ -73,11 +109,11 @@ def check_volume(rc: RunConfig) -> CheckResult:
     grid = build_grid(*rc.grid, cfg)
     exact = exact_volume(cfg)
     rel = abs(volume(grid) - exact) / exact
-    return CheckResult("volume", rel < rc.tol("volume"), {
+    return CheckResult.judged("volume", {
         "grid": list(rc.grid),
         "relative_error": rel,
         "tolerance": rc.tol("volume"),
-    })
+    }, ("relative_error", rel, "<", rc.tol("volume")))
 
 
 def check_spectrum(rc: RunConfig, n_max: int = 5) -> CheckResult:
@@ -91,9 +127,7 @@ def check_spectrum(rc: RunConfig, n_max: int = 5) -> CheckResult:
     fd_grid = build_grid(16, 12, 16, cfg)
     fd_rows = quantum.eigen_residual_table(n_max, fd_grid, cfg, backend="fd")
     worst_h_fd = max(r["h_residual"] for r in fd_rows)
-    ok = (worst_h < rc.tol("h_residual") and worst_h_fd < rc.tol("h_residual_fd")
-          and worst_j2 < rc.tol("j_residual") and worst_j3 < rc.tol("j_residual"))
-    return CheckResult("spectrum", ok, {
+    return CheckResult.judged("spectrum", {
         "n_max": n_max,
         "max_h_residual_analytic": worst_h,
         "max_h_residual_fd": worst_h_fd,
@@ -101,7 +135,10 @@ def check_spectrum(rc: RunConfig, n_max: int = 5) -> CheckResult:
         "max_j3_residual": worst_j3,
         "tolerance_analytic": rc.tol("h_residual"),
         "tolerance_fd": rc.tol("h_residual_fd"),
-    })
+    }, ("max_h_residual_analytic", worst_h, "<", rc.tol("h_residual")),
+        ("max_h_residual_fd", worst_h_fd, "<", rc.tol("h_residual_fd")),
+        ("max_j2_residual", worst_j2, "<", rc.tol("j_residual")),
+        ("max_j3_residual", worst_j3, "<", rc.tol("j_residual")))
 
 
 def check_orthonormality(rc: RunConfig, n_max: int = 5) -> CheckResult:
@@ -110,12 +147,12 @@ def check_orthonormality(rc: RunConfig, n_max: int = 5) -> CheckResult:
     grid = rc.quantum_grid()
     labels, gram = quantum.gram_matrix(n_max, grid, cfg)
     dev = float(np.max(np.abs(gram - np.eye(len(labels)))))
-    return CheckResult("orthonormality", dev < rc.tol("gram"), {
+    return CheckResult.judged("orthonormality", {
         "n_max": n_max,
         "basis_size": len(labels),
         "max_gram_deviation": dev,
         "tolerance": rc.tol("gram"),
-    })
+    }, ("max_gram_deviation", dev, "<", rc.tol("gram")))
 
 
 def check_group_axioms(rc: RunConfig, samples: int = 1000) -> CheckResult:
@@ -123,10 +160,10 @@ def check_group_axioms(rc: RunConfig, samples: int = 1000) -> CheckResult:
     cfg = rc.space()
     rng = np.random.default_rng([rc.seed, 4])
     res = sigma_group.group_axiom_residuals(rng, cfg, samples)
-    ok = (res["max_associativity_residual"] < rc.tol("associativity")
-          and res["max_inverse_residual"] < rc.tol("inverse"))
     res["tolerance"] = rc.tol("associativity")
-    return CheckResult("group_axioms", ok, res)
+    return CheckResult.judged("group_axioms", res, *(
+        (f"max_{key}_residual", res[f"max_{key}_residual"], "<", rc.tol(tol)) for key, tol in
+        (("associativity", "associativity"), ("inverse", "inverse"), ("identity", "inverse"))))
 
 
 def check_lie_algebra(rc: RunConfig, samples: int = 12) -> CheckResult:
@@ -136,13 +173,13 @@ def check_lie_algebra(rc: RunConfig, samples: int = 12) -> CheckResult:
     table, mixed = sigma_group.bracket_residuals(sigma_group.sample_batch(rng, cfg, samples), cfg)
     worst_table = float(np.max(table, initial=0.0))
     worst_mixed = float(np.max(mixed, initial=0.0))
-    ok = worst_table < rc.tol("bracket") and worst_mixed < rc.tol("lr_commute")
-    return CheckResult("lie_algebra", ok, {
+    return CheckResult.judged("lie_algebra", {
         "samples": samples,
         "max_structure_constant_deviation": worst_table,
         "max_left_right_bracket": worst_mixed,
         "tolerance": rc.tol("bracket"),
-    })
+    }, ("max_structure_constant_deviation", worst_table, "<", rc.tol("bracket")),
+        ("max_left_right_bracket", worst_mixed, "<", rc.tol("lr_commute")))
 
 
 def check_poisson(rc: RunConfig, samples: int = 100,
@@ -157,21 +194,21 @@ def check_poisson(rc: RunConfig, samples: int = 100,
             - report["theta_theta_coefficient_model"]),
         abs(report["theta_rho_coefficient_measured"]
             - report["theta_rho_coefficient_model"]))
-    ok = (report["max_residual_eps_eps"] < tol
-          and report["max_residual_eps_theta_model"] < tol
-          and report["max_residual_eps_rho"] < tol
-          and coef_dev < tol
-          and report.get("max_jacobi_residual", 0.0) < rc.tol("jacobi"))
     report["tolerance"] = tol
     report["coefficient_fit_deviation"] = coef_dev
-    return CheckResult("poisson_algebra", ok, report)
+    return CheckResult.judged(
+        "poisson_algebra", report,
+        *((key, report[key], "<", tol) for key in (
+            "max_residual_eps_eps", "max_residual_eps_theta_model", "max_residual_eps_rho",
+            "coefficient_fit_deviation")),
+        ("max_jacobi_residual", report.get("max_jacobi_residual", 0.0), "<", rc.tol("jacobi")))
 
 
 def geodesic_deviations(rc: RunConfig, init: classical.PhaseState,
-                        traj: classical.Trajectory, t_end: float):
-    """Energy drift over |H(0)| (absolute when H(0) = 0), the largest drift of
-    either invariant triple, the last state's deviation from the closed form
-    at t_end (positions over R), and whether all three are within tolerance."""
+                        traj: classical.Trajectory, t_end: float) -> tuple[Bound, ...]:
+    """Bounds on the energy drift over |H(0)| (absolute when H(0) = 0), the
+    largest drift of either invariant triple, and the last state's deviation
+    from the closed form at t_end (positions over R)."""
     cfg = rc.space()
     h0 = traj.energy[0]
     h_drift = float(np.max(np.abs(traj.energy - h0))) / (abs(h0) if h0 != 0.0 else 1.0)
@@ -182,9 +219,9 @@ def geodesic_deviations(rc: RunConfig, init: classical.PhaseState,
     endpoint = max(
         float(np.max(np.abs(final_exact.point.eps - traj.x[-1, 1:]))) / cfg.R,
         float(np.max(np.abs(final_exact.vel - traj.v[-1, 1:]))))
-    ok = (h_drift < rc.tol("h_drift") and th_drift < rc.tol("theta_drift")
-          and endpoint < rc.tol("endpoint"))
-    return h_drift, th_drift, endpoint, ok
+    return (Bound("relative_h_drift", h_drift, "<", rc.tol("h_drift")),
+            Bound("max_theta_drift", th_drift, "<", rc.tol("theta_drift")),
+            Bound("endpoint_deviation", endpoint, "<", rc.tol("endpoint")))
 
 
 def check_conservation(rc: RunConfig, omega_t: float = 20.0,
@@ -199,16 +236,14 @@ def check_conservation(rc: RunConfig, omega_t: float = 20.0,
     w = classical.angular_frequency(init, cfg)
     t_end = omega_t / w
     traj = classical.geodesic_integrate(init, t_end, steps, cfg)
-    h_drift, th_drift, endpoint, ok = geodesic_deviations(rc, init, traj, t_end)
-    return CheckResult("conservation", ok, {
+    drifts = geodesic_deviations(rc, init, traj, t_end)
+    return CheckResult.judged("conservation", {
         "omega_t": omega_t,
         "steps": steps,
-        "relative_h_drift": h_drift,
-        "max_theta_drift": th_drift,
-        "endpoint_deviation": endpoint,
+        **{b.metric: b.value for b in drifts},
         "warnings": traj.warnings,
         "tolerance": rc.tol("h_drift"),
-    })
+    }, *drifts)
 
 
 def check_closed_form(rc: RunConfig, sample_times: int = 50) -> CheckResult:
@@ -239,8 +274,7 @@ def check_closed_form(rc: RunConfig, sample_times: int = 50) -> CheckResult:
     h = classical.hamiltonian(init, cfg)
     w_energy_form = math.sqrt(8.0 * h / (cfg.m * cfg.R * cfg.R))
     residual_alt = residual_at(w_energy_form, 0.9 * cfg.R)
-    ok = residual < rc.tol("geodesic_residual") and residual_alt > 1e-3
-    return CheckResult("closed_form", ok, {
+    return CheckResult.judged("closed_form", {
         "sampled_times": sample_times,
         "residual_metric_frequency": residual,
         "residual_energy_form_frequency": residual_alt,
@@ -248,7 +282,8 @@ def check_closed_form(rc: RunConfig, sample_times: int = 50) -> CheckResult:
         "tolerance": rc.tol("geodesic_residual"),
         "note": ("the energy-form frequency is exactly twice the metric one "
                  "and does not solve the equation of motion"),
-    })
+    }, ("residual_metric_frequency", residual, "<", rc.tol("geodesic_residual")),
+        ("residual_energy_form_frequency", residual_alt, ">", 1e-3))
 
 
 def check_quantization_form(rc: RunConfig, samples: int = 100) -> CheckResult:
@@ -265,16 +300,17 @@ def check_quantization_form(rc: RunConfig, samples: int = 100) -> CheckResult:
     worst_noether = float(np.max(np.abs(chk["theta_on_right"][:, :7]
                                         - sigma_group.noether_many(batch, cfg)), initial=0.0))
     tol = rc.tol("theta_contraction")
-    ok = (worst_central < tol and worst_char < tol
-          and worst_noether < rc.tol("noether") and min_symplectic_contrast > 1e-3)
-    return CheckResult("quantization_form", ok, {
+    return CheckResult.judged("quantization_form", {
         "samples": samples,
         "max_central_pairing_deviation": worst_central,
         "max_characteristic_contraction": worst_char,
         "max_noether_deviation": worst_noether,
         "min_symplectic_contrast": min_symplectic_contrast,
         "tolerance": tol,
-    })
+    }, ("max_central_pairing_deviation", worst_central, "<", tol),
+        ("max_characteristic_contraction", worst_char, "<", tol),
+        ("max_noether_deviation", worst_noether, "<", rc.tol("noether")),
+        ("min_symplectic_contrast", min_symplectic_contrast, ">", 1e-3))
 
 
 def check_contraction(rc: RunConfig, factors=(10.0, 100.0, 1000.0)) -> CheckResult:
@@ -284,12 +320,12 @@ def check_contraction(rc: RunConfig, factors=(10.0, 100.0, 1000.0)) -> CheckResu
     radii = [f * r0 for f in factors]
     rep = quantum.contraction_study(radii, cfg=SpaceConfig(1.0, cfg.m), r0=r0)
     slope_max = rc.tol("contraction_slope")
-    ok = (rep["nu"]["strictly_decreasing"] and rep["hamiltonian"]["strictly_decreasing"]
-          and rep["nu"]["slope"] <= slope_max
-          and rep["hamiltonian"]["slope"] <= slope_max
-          and rep["position"]["identically_zero"])
     rep["slope_threshold"] = slope_max
-    return CheckResult("contraction", ok, rep)
+    return CheckResult.judged("contraction", rep, *(b for op in ("nu", "hamiltonian") for b in (
+        (f"{op}.strictly_decreasing", rep[op]["strictly_decreasing"], "==", True),
+        # a slope at most slope_max is a decay rate -slope of at least -slope_max
+        (f"-{op}.slope", -rep[op]["slope"], ">=", -slope_max))),
+        ("position.identically_zero", rep["position"]["identically_zero"], "==", True))
 
 
 def check_selfadjointness(rc: RunConfig, pairs: int = 50) -> CheckResult:
@@ -297,10 +333,10 @@ def check_selfadjointness(rc: RunConfig, pairs: int = 50) -> CheckResult:
     cfg = rc.space()
     grid = rc.quantum_grid()
     worst = quantum.hermiticity_check(pairs, grid, cfg, seed=rc.seed)
-    ok = worst["max"] < rc.tol("hermiticity")
     worst["pairs"] = pairs
     worst["tolerance"] = rc.tol("hermiticity")
-    return CheckResult("selfadjointness", ok, worst)
+    return CheckResult.judged("selfadjointness", worst,
+                              ("max", worst["max"], "<", rc.tol("hermiticity")))
 
 
 ALL_CHECKS = [

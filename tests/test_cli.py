@@ -134,6 +134,10 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert code == 0
     payload = json.loads(out.read_text())
     assert payload["config"]["R"] == 3.0
+    # for tolerances too: the flag's 1e-20 beats the file's loosened 1e-8
+    assert main(["orthonormality", "--n-max", "2", "--config", str(conf),
+                 "--tol", "gram=1e-20", "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["config"]["tolerances"]["gram"] == 1e-20
 
 
 def test_config_file_rejects_unknown_format(tmp_path):
@@ -141,6 +145,18 @@ def test_config_file_rejects_unknown_format(tmp_path):
     conf.write_text("format = xml\n")
     out = tmp_path / "o.txt"
     assert main(["spectrum", "--config", str(conf), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["radius 2.0\n", "colour = red\n", "seed = 1.5\n",
+                                  "grid = 24,16\n", "tol.gram = tight\n"])
+def test_config_file_errors_are_usage_errors(tmp_path, text):
+    # a line without '=', an unknown key and a bad value all exit 2 before any run
+    conf = tmp_path / "run.conf"
+    conf.write_text("# comment\n\n" + text)
+    out = tmp_path / "o.json"
+    assert main(["orthonormality", "--n-max", "1", "--config", str(conf),
+                 "--out", str(out)]) == 2
     assert not out.exists()
 
 

@@ -13,12 +13,12 @@ from s3sigma import quantum
 from s3sigma.quantum import (SmoothBump, WaveFunction, basis_norm_constant,
                              closed_form_norm_constant,
                              energy, gram_matrix, hermiticity_check,
-                             inner_product, labels_up_to, level_leakage,
+                             labels_up_to, level_leakage,
                              measured_normalization_factor,
-                             polarized_wavefunction, right_action_operator)
+                             polarized_wavefunction)
 from s3sigma import numdiff
-from s3sigma.sigma_group import (element_coords, element_from_coords,
-                                 left_fields, right_fields, sample_elements)
+from s3sigma.sigma_group import (element_from_coords, left_fields, right_fields,
+                                 sample_batch)
 
 
 @pytest.fixture(scope="module")
@@ -223,7 +223,7 @@ def test_rotation_from_frame_difference(grid):
         wf = psi(lb, CFG)
         for axis in range(3):
             jr = apply_J(axis, wf, CFG, hermitian=False).eval_q(grid.q)
-            zr = right_action_operator(axis, wf, CFG).eval_q(grid.q)
+            zr = 1j * CFG.m * apply_nu(axis, wf, CFG).eval_q(grid.q)
             zl = left_action_operator(axis, wf, CFG).eval_q(grid.q)
             np.testing.assert_allclose(jr, 0.5 * CFG.R * (zr - zl), atol=1e-8)
 
@@ -250,7 +250,8 @@ def test_frame_operator_su2_closure(grid):
         mats = []
         for axis in range(3):
             if side == "right":
-                op = lambda w, a=axis: right_action_operator(a, w, CFG)
+                op = lambda w, a=axis: WaveFunction.from_poly(
+                    apply_nu(a, w, CFG).poly.scale(1j * CFG.m))
             else:
                 op = lambda w, a=axis: left_action_operator(a, w, CFG)
             mats.append(_operator_matrix(op, labels, grid, CFG))
@@ -310,7 +311,8 @@ def test_moment_matrix_inner_products_match_quadrature(grid):
     basis = MonomialBasis([w.poly for w in wfs])
     G = basis.moment_matrix(grid.q, grid.weight)
     via_g = basis.coeffs.conj() @ G @ basis.coeffs.T
-    direct = np.array([[inner_product(a, b, grid) for b in wfs] for a in wfs])
+    direct = np.array([[integrate_values(np.conj(a.eval_q(grid.q)) * b.eval_q(grid.q), grid)
+                        for b in wfs] for a in wfs])
     # relative to the largest inner product, <H psi, H psi> = E_4^2 = 144
     np.testing.assert_allclose(via_g, direct, rtol=0.0,
                                atol=1e-13 * np.max(np.abs(direct)))
@@ -655,8 +657,8 @@ def test_polarized_lift_reduces_to_operator_dictionary(rng):
     cfg = CFG
     phi_wf = psi(SpectralLabel(2, 1, 0), cfg)
     lift = polarized_wavefunction(phi_wf, cfg)
-    for g in sample_elements(np.random.default_rng(3), cfg, 3):
-        x0 = element_coords(g)
+    for g in sample_batch(np.random.default_rng(3), cfg, 3):
+        x0 = np.concatenate((g.eps, g.nu, [g.z], [g.phi]))
 
         def lift_coords(x):
             return lift(element_from_coords(x, g.rho_sign, cfg))

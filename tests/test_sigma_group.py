@@ -12,14 +12,16 @@ from s3sigma import (DomainError, SigmaGroupElement, SpaceConfig,
                      noether_invariants, quantization_form, right_fields)
 from s3sigma.geometry import ChartCoords, canonical_one_form, dual_field, rho
 from s3sigma.sigma_group import (ElementBatch, bracket_table_report,
-                                 compose_many, dtheta_exact, inverse_many,
-                                 dtheta_matrix, element_coords,
-                                 element_distance, element_from_coords,
+                                 compose_many, distance_many, dtheta_exact, inverse_many,
+                                 dtheta_matrix, element_from_coords,
                                  expected_right_bracket_coefficients,
                                  group_axiom_residuals,
-                                 measured_right_bracket_coefficients,
-                                 mixed_bracket_residual, sample_batch, sample_elements)
+                                 measured_right_bracket_coefficients, sample_batch)
 from s3sigma import numdiff, sigma_group
+
+
+def distance(a, b, cfg):
+    return distance_many(a.batch, b.batch, cfg)[0]
 
 
 def elem(eps, nu, z, cfg, phi=0.0, sign=+1):
@@ -33,9 +35,9 @@ def elem(eps, nu, z, cfg, phi=0.0, sign=+1):
 
 def test_identity_element(cfg, rng):
     e = identity(cfg)
-    for g in sample_elements(rng, cfg, 20):
-        assert element_distance(compose(e, g, cfg), g, cfg) < 1e-14
-        assert element_distance(compose(g, e, cfg), g, cfg) < 1e-14
+    for g in sample_batch(rng, cfg, 20):
+        assert distance(compose(e, g, cfg), g, cfg) < 1e-14
+        assert distance(compose(g, e, cfg), g, cfg) < 1e-14
 
 
 def test_associativity_and_inverse(cfg_odd, rng):
@@ -46,10 +48,10 @@ def test_associativity_and_inverse(cfg_odd, rng):
 
 def test_inverse_of_identity_and_involution(cfg, rng):
     e = identity(cfg)
-    assert element_distance(inverse(e, cfg), e, cfg) == 0.0
-    for g in sample_elements(rng, cfg, 30):
+    assert distance(inverse(e, cfg), e, cfg) == 0.0
+    for g in sample_batch(rng, cfg, 30):
         gg = inverse(inverse(g, cfg), cfg)
-        assert element_distance(gg, g, cfg) < 1e-13
+        assert distance(gg, g, cfg) < 1e-13
 
 
 def test_compose_and_inverse_reject_operands_outside_the_chart_ball(cfg_odd):
@@ -125,8 +127,8 @@ def test_batched_law_matches_scalar_reference_bit_for_bit(cfg_odd, rng):
 def test_su2_sector_is_quaternion_product(cfg, rng):
     # with nu = z = 0 and unit phases the law reduces to quaternion algebra
     for _ in range(20):
-        a = sample_elements(rng, cfg, 1)[0]
-        b = sample_elements(rng, cfg, 1)[0]
+        a = sample_batch(rng, cfg, 1)[0]
+        b = sample_batch(rng, cfg, 1)[0]
         a0 = elem(a.eps, [0, 0, 0], 0.0, cfg)
         b0 = elem(b.eps, [0, 0, 0], 0.0, cfg)
         c = compose(a0, b0, cfg)
@@ -184,12 +186,12 @@ def test_associativity_property(R, m, elements):
         gs.append(elem(R * fraction * d / np.linalg.norm(d), rest[:3], rest[3], cfg, phi, sign))
     lhs = compose(compose(gs[0], gs[1], cfg), gs[2], cfg)
     rhs = compose(gs[0], compose(gs[1], gs[2], cfg), cfg)
-    assert element_distance(lhs, rhs, cfg) < 1e-12
+    assert distance(lhs, rhs, cfg) < 1e-12
     e = identity(cfg)
     for g in gs:
         gi = inverse(g, cfg)
-        assert element_distance(compose(gi, g, cfg), e, cfg) < 1e-12
-        assert element_distance(compose(g, gi, cfg), e, cfg) < 1e-12
+        assert distance(compose(gi, g, cfg), e, cfg) < 1e-12
+        assert distance(compose(g, gi, cfg), e, cfg) < 1e-12
 
 
 def _reference_sample(rng, cfg, count, radius_fraction=None):
@@ -245,7 +247,7 @@ def _numeric_fields(g, cfg, left):
             x[a] = s
             d = element_from_coords(x, +1, cfg)
             r = compose(g, d, cfg) if left else compose(d, g, cfg)
-            return element_coords(r)
+            return np.concatenate((r.eps, r.nu, [r.z], [r.phi]))
         acc = 0.0
         for o, w in ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0)):
             acc = acc + w * curve(o * h)
@@ -261,13 +263,13 @@ def test_fields_at_identity_are_algebra_basis(cfg):
 
 
 def test_left_fields_match_translation_derivative(cfg_odd, rng):
-    for g in sample_elements(rng, cfg_odd, 5):
+    for g in sample_batch(rng, cfg_odd, 5):
         num = _numeric_fields(g, cfg_odd, left=True)
         np.testing.assert_allclose(left_fields(g, cfg_odd), num, atol=1e-8)
 
 
 def test_right_fields_match_translation_derivative(cfg_odd, rng):
-    for g in sample_elements(rng, cfg_odd, 5):
+    for g in sample_batch(rng, cfg_odd, 5):
         num = _numeric_fields(g, cfg_odd, left=False)
         np.testing.assert_allclose(right_fields(g, cfg_odd), num, atol=1e-8)
 
@@ -275,7 +277,7 @@ def test_right_fields_match_translation_derivative(cfg_odd, rng):
 def test_right_bracket_table(cfg_odd, rng):
     # all nonzero structure constants, including the central term in
     # [Z_eps, Z_nu], measured against the expected table
-    g = sample_elements(rng, cfg_odd, 1)[0]
+    g = sample_batch(rng, cfg_odd, 1)[0]
     report = bracket_table_report(g, cfg_odd)
     assert report["max_coefficient_deviation"] < 1e-7
     expected = expected_right_bracket_coefficients(cfg_odd)
@@ -287,8 +289,8 @@ def test_right_bracket_table(cfg_odd, rng):
 
 
 def test_left_right_fields_commute(cfg, rng):
-    for g in sample_elements(rng, cfg, 2):
-        assert mixed_bracket_residual(g, cfg) < 1e-7
+    _, mixed = sigma_group.bracket_residuals(sample_batch(rng, cfg, 2), cfg)
+    assert np.max(mixed) < 1e-7
 
 
 def _cross(v):
@@ -373,7 +375,7 @@ def test_theta_at_identity_is_pure_phase_direction(cfg):
 
 
 def test_theta_contractions(cfg_odd, rng):
-    for g in sample_elements(rng, cfg_odd, 25):
+    for g in sample_batch(rng, cfg_odd, 25):
         th = quantization_form(g, cfg_odd)
         lf = left_fields(g, cfg_odd)
         rf = right_fields(g, cfg_odd)
@@ -384,7 +386,7 @@ def test_theta_contractions(cfg_odd, rng):
 
 
 def test_characteristic_subalgebra(cfg_odd, rng):
-    for g in sample_elements(rng, cfg_odd, 10):
+    for g in sample_batch(rng, cfg_odd, 10):
         chk = characteristic_check(g, cfg_odd)
         assert abs(chk["theta_on_zl_z"]) < 1e-8
         assert chk["dtheta_on_zl_z"] < 1e-8
@@ -395,7 +397,7 @@ def test_characteristic_subalgebra(cfg_odd, rng):
 
 
 def test_dtheta_numeric_matches_exact(cfg_odd, rng):
-    for g in sample_elements(rng, cfg_odd, 5):
+    for g in sample_batch(rng, cfg_odd, 5):
         np.testing.assert_allclose(dtheta_matrix(g, cfg_odd),
                                    dtheta_exact(g, cfg_odd), atol=1e-8)
 
@@ -404,7 +406,7 @@ def test_noether_invariants(cfg_odd, rng):
     e = identity(cfg_odd)
     np.testing.assert_allclose(noether_invariants(e, cfg_odd), np.zeros(7),
                                atol=1e-15)
-    for g in sample_elements(rng, cfg_odd, 20):
+    for g in sample_batch(rng, cfg_odd, 20):
         inv = noether_invariants(g, cfg_odd)
         np.testing.assert_allclose(inv[3:6], -cfg_odd.m * g.eps, atol=1e-14)
         # invariants are the pairings of the form with the right fields
@@ -415,7 +417,7 @@ def test_noether_invariants(cfg_odd, rng):
 
 
 def test_noether_constant_along_characteristic_flow(cfg, rng):
-    for g in sample_elements(rng, cfg, 10):
+    for g in sample_batch(rng, cfg, 10):
         inv0 = noether_invariants(g, cfg)
         step = SigmaGroupElement(np.zeros(3), +1, np.zeros(3), 0.41, 1.0, cfg)
         inv1 = noether_invariants(compose(g, step, cfg), cfg)
@@ -480,7 +482,7 @@ def test_lie_algebra_and_quantization_form_hold_on_the_whole_chart_ball(R, m, el
 # quotient onto the solution manifold
 
 def test_quotient_reproduces_solution_coordinates(cfg, rng):
-    for g in sample_elements(rng, cfg, 5):
+    for g in sample_batch(rng, cfg, 5):
         inv = noether_invariants(g, cfg)
         zr3 = dual_field(g.chart(), "right", cfg)
         theta_def = zr3 @ g.nu - (g.z / cfg.R) * g.eps
@@ -491,7 +493,7 @@ def test_quotient_reproduces_solution_coordinates(cfg, rng):
 def test_symplectic_form_matches_canonical_pullback(cfg, rng):
     # dTheta restricted to the (eps, nu) block equals the pullback of
     # d pi ^ d eps through pi(eps, nu; z) = m T_R (Z_R nu - z eps / R)
-    for g in sample_elements(rng, cfg, 3):
+    for g in sample_batch(rng, cfg, 3):
         def pi_of(eps, nu):
             c = ChartCoords(eps, g.rho_sign)
             th = dual_field(c, "right", cfg) @ nu - (g.z / cfg.R) * eps
@@ -514,7 +516,7 @@ def test_symplectic_form_matches_canonical_pullback(cfg, rng):
 
 def test_group_side_darboux_momentum_closed_form(cfg, rng):
     # T_R (Z_R nu - z eps/R) simplifies to nu - z eps / (R rho)
-    for g in sample_elements(rng, cfg, 10):
+    for g in sample_batch(rng, cfg, 10):
         c = g.chart()
         r = rho(c, cfg)
         th = dual_field(c, "right", cfg) @ g.nu - (g.z / cfg.R) * g.eps
