@@ -205,15 +205,14 @@ def closed_form_chart(init: PhaseState, t: float, omega: float) -> tuple[np.ndar
     return e, v, a
 
 
-def _christoffel_many(eps: np.ndarray, rho_sign, cfg: SpaceConfig, h: float) -> np.ndarray:
+def _christoffel_many(eps: np.ndarray, rho_sign, cfg: SpaceConfig) -> np.ndarray:
     """Christoffel symbols Gamma[n, j, k, l] at chart points eps (N, 3).
 
-    dg comes from one stencil gradient of the metric at all points.
+    dg comes from one complex-step gradient of the metric at all points.
     """
-    _check_stencil_margin(eps, h, cfg, "Christoffel stencil would leave the chart")
-    sign = np.broadcast_to(rho_sign, eps.shape[:-1])[:, None, None]
-    jac = numdiff.stencil_gradient(
-        lambda y: _metric(y, sign, cfg).reshape(y.shape[:-1] + (9,)), eps, h)
+    sign = np.broadcast_to(rho_sign, eps.shape[:-1])[:, None]
+    jac = numdiff.complex_step_gradient(
+        lambda y: _metric(y, sign, cfg).reshape(y.shape[:-1] + (9,)), eps)
     dg = np.moveaxis(jac.reshape(-1, 3, 3, 3), -1, 1)  # dg[n, k, i, j] = d g_ij / d x^k
     ginv = _metric_inverse(eps, cfg)
     gamma = 0.5 * np.einsum("njm,nkml->njkl", ginv, dg)
@@ -222,18 +221,16 @@ def _christoffel_many(eps: np.ndarray, rho_sign, cfg: SpaceConfig, h: float) -> 
     return gamma
 
 
-def christoffel(c: ChartCoords, cfg: SpaceConfig, h: float | None = None) -> np.ndarray:
-    """Christoffel symbols Gamma[j, k, l] from central differences of g."""
-    if h is None:
-        h = numdiff.DEFAULT_REL_STEP * cfg.R
-    return _christoffel_many(c.eps[None], c.rho_sign, cfg, h)[0]
+def christoffel(c: ChartCoords, cfg: SpaceConfig) -> np.ndarray:
+    """Christoffel symbols Gamma[j, k, l] from the complex-step gradient of g."""
+    return _christoffel_many(c.eps[None], c.rho_sign, cfg)[0]
 
 
 def geodesic_equation_residual(init: PhaseState, times, cfg: SpaceConfig,
                                omega: float | None = None) -> float:
     """Max norm of acc^j + Gamma^j_kl vel^k vel^l along the closed form.
 
-    With the metric frequency the residual vanishes to stencil accuracy;
+    With the metric frequency the residual vanishes to rounding;
     probing a different omega quantifies how badly that frequency fails.
     """
     if omega is None:
@@ -242,7 +239,7 @@ def geodesic_equation_residual(init: PhaseState, times, cfg: SpaceConfig,
         return 0.0
     rows = [closed_form_chart(init, float(t), omega) for t in np.atleast_1d(times)]
     e, v, a = (np.array([row[i] for row in rows]).reshape(-1, 3) for i in range(3))
-    gamma = _christoffel_many(e, +1, cfg, numdiff.DEFAULT_REL_STEP * cfg.R)
+    gamma = _christoffel_many(e, +1, cfg)
     res = a + np.einsum("njkl,nk,nl->nj", gamma, v, v)
     return float(np.max(np.abs(res), initial=0.0))
 

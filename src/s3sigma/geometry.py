@@ -41,8 +41,8 @@ _UNIT_TOL = 1e-12
 
 def cross_matrix(v: np.ndarray) -> np.ndarray:
     """Matrices M[..., i, j] = sum_k eps_{ijk} v[..., k], so that M @ w = w x v."""
-    v = np.asarray(v, dtype=float)
-    out = np.zeros(v.shape[:-1] + (3, 3))
+    v = np.asarray(v)
+    out = np.zeros(v.shape[:-1] + (3, 3), dtype=np.result_type(v, float))
     out[..., 0, 1], out[..., 0, 2] = v[..., 2], -v[..., 1]
     out[..., 1, 0], out[..., 1, 2] = -v[..., 2], v[..., 0]
     out[..., 2, 0], out[..., 2, 1] = v[..., 1], -v[..., 0]
@@ -120,11 +120,15 @@ def _heights(eps: np.ndarray, rho_sign, cfg: SpaceConfig) -> np.ndarray:
 
     rho_sign broadcasts against eps[..., 0].  DomainError when an eps
     leaves the chart ball, |eps|^2 / R^2 > 1 + 1e-12, or is not finite.
+    A real height is clamped at the boundary; a complex eps (a complex
+    step) is checked by its real part and not clamped, so rho is analytic.
     """
     s2 = _dot(eps, eps) / (cfg.R * cfg.R)
-    if not (s2 <= 1.0 + _UNIT_TOL).all():
-        raise DomainError(f"|eps| = {cfg.R * math.sqrt(np.max(s2))} exceeds "
+    if not (s2.real <= 1.0 + _UNIT_TOL).all():
+        raise DomainError(f"|eps| = {cfg.R * math.sqrt(np.max(s2.real))} exceeds "
                           f"the chart radius R = {cfg.R}")
+    if np.iscomplexobj(s2):
+        return rho_sign * np.sqrt(1.0 - s2)
     return rho_sign * np.sqrt(np.maximum(0.0, 1.0 - s2))
 
 

@@ -1,17 +1,19 @@
-"""Fourth-order central differences: the one stencil engine of the package.
+"""Derivatives: the complex step and the one stencil engine.
 
-Every stencil is the classic 4th-order one, with weights from the two
-tables below; the default relative step is 1e-5 times the coordinate
-scale, which balances truncation against roundoff at double precision
-for the smooth fields handled here.  The batched engine is
-`stencil_gradient` (first derivatives), `stencil_second` (second
-derivatives along each axis, no cross terms) and `complex_step_gradient`:
-each calls its function once, on every point of every stencil, and every
-stencil of the package goes through it.  Two scalar routines remain:
-`partial`, with which `classical.poisson_bracket` differentiates its two
-user-supplied scalar functions, and `jacobian`, which the package no
-longer calls.  The benchmark tracer (`perfbench/tracer.py`) reads both
-by name.
+A first derivative of one of the package's own analytic kernels (the
+group frames and Theta, the metric, the basic Darboux functions) is
+taken by `complex_step_gradient`: exact to rounding, with no step to
+choose.  The 4th-order stencils serve only where the complex step does
+not apply: user-supplied functions (`classical.poisson_bracket` through
+`partial`, `geometry.killing_residual`), criterion 6's bracket matrix,
+which matches that scalar reference, the outer derivative of its Jacobi
+sums, whose inner brackets are complex steps already, and the second
+derivatives of the quantum FD oracles.  Their weights come from the two
+tables below, at a default step of 1e-5 times the coordinate scale.
+`stencil_gradient`, `stencil_second` and `complex_step_gradient` each
+call their function once, on every point of every stencil or step.
+`jacobian` is no longer called by the package; the benchmark tracer
+(`perfbench/tracer.py`) reads it and `partial` by name.
 """
 
 from __future__ import annotations

@@ -213,13 +213,17 @@ class MonomialBasis:
         """G[j, k] = sum_n weight[n] m_j(q_n) m_k(q_n) over points q (N, 4).
 
         With quadrature weights, <f, g> = conj(c_f) @ G @ c_g for any two
-        members f, g of the family: the same sum in another order.
+        members f, g of the family: the same sum in another order.  Weights
+        are >= 0: each block's rows are scaled by sqrt(weight) in place, so
+        M @ M.T is one BLAS syrk, and the block is freed before the next.
         """
         q = np.asarray(q, dtype=float).reshape(-1, 4)
         G = np.zeros((len(self.monos),) * 2)
         for b in node_blocks(q.shape[0]):
             M = self.rows(q[b])
-            G += (M * weight[b]) @ M.T
+            M *= np.sqrt(weight[b])
+            G += M @ M.T
+            del M
         return G
 
 

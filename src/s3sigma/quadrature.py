@@ -60,14 +60,6 @@ class QuadGrid:
             schi * np.cos(self.theta),
         ], axis=-1))
 
-    def to_csv(self, path: str) -> None:
-        """Debug dump with columns chi, theta, phi, weight."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("chi,theta,phi,weight\n")
-            for i in range(len(self)):
-                fh.write(f"{self.chi[i]!r},{self.theta[i]!r},"
-                         f"{self.phi[i]!r},{self.weight[i]!r}\n")
-
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False

@@ -214,11 +214,11 @@ def _theta(x: np.ndarray, rho_sign, cfg: SpaceConfig):
 
     Theta = -m eps_i d nu^i - m R (rho - 1) d z + d phi, the invariant
     1-form dual to the central generator.  rho_sign broadcasts against
-    x[..., 0].
+    x[..., 0].  Analytic in x: a complex x gives complex Theta.
     """
     eps = x[..., 0:3]
     r = _heights(eps, rho_sign, cfg)
-    theta = np.zeros(x.shape[:-1] + (8,))
+    theta = np.zeros(x.shape[:-1] + (8,), dtype=x.dtype)
     theta[..., 3:6] = -cfg.m * eps
     theta[..., 6] = -cfg.m * cfg.R * (r - 1.0)
     theta[..., 7] = 1.0
@@ -232,12 +232,12 @@ def _frames(x: np.ndarray, rho_sign, cfg: SpaceConfig):
     eps-type generators, the three nu-type ones, the z generator and the
     central one (plain d/dphi).  Every entry is elementwise in eps, nu
     and z (phi is not read); the rotation blocks are geometry's dual
-    fields.
+    fields.  Analytic in x, as `_theta` is, so complex steps differentiate it.
     """
     R, m = cfg.R, cfg.m
     eps, nu, z = x[..., 0:3], x[..., 3:6], x[..., 6]
     theta, r = _theta(x, rho_sign, cfg)
-    left = np.zeros(x.shape[:-1] + (8, 8))
+    left = np.zeros(x.shape[:-1] + (8, 8), dtype=x.dtype)
     left[..., 0:3, 0:3] = left[..., 3:6, 3:6] = _dual(eps, r, -1.0, R)
     left[..., 3:6, 6] = -eps / R
     left[..., 3:6, 7] = m * eps
@@ -299,14 +299,10 @@ def noether_invariants(g: SigmaGroupElement, cfg: SpaceConfig) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # numerical differential machinery on the group
 
-def _coord_steps(cfg: SpaceConfig) -> np.ndarray:
-    return numdiff.DEFAULT_REL_STEP * np.array([cfg.R] * 3 + [1.0] * 5)
-
-
 def _dtheta(x: np.ndarray, rho_sign, cfg: SpaceConfig) -> np.ndarray:
-    """dTheta[n, a, b] at coordinates x (N, 8), by antisymmetrized differentiation."""
-    sign = np.asarray(rho_sign)[:, None, None]
-    jac = numdiff.stencil_gradient(lambda y: _theta(y, sign, cfg)[0], x, _coord_steps(cfg))
+    """dTheta[n, a, b] at coordinates x (N, 8), the antisymmetrized complex-step Jacobian."""
+    sign = np.asarray(rho_sign)[:, None]
+    jac = numdiff.complex_step_gradient(lambda y: _theta(y, sign, cfg)[0], x)
     return np.swapaxes(jac, -1, -2) - jac  # jac[n, b, a] = d Theta_b / d x^a
 
 
@@ -331,11 +327,12 @@ def dtheta_exact(g: SigmaGroupElement, cfg: SpaceConfig) -> np.ndarray:
 def _frame_with_jacobian(x: np.ndarray, rho_sign, cfg: SpaceConfig):
     """Both frames at coordinates x (N, 8) and their Jacobians J[n, a, k, i] = d F[n, a, k] / d x^i.
 
-    One stencil over both 8x8 matrices serves every bracket of both
-    frames; row a of it is, bit for bit, the stencil of field a alone.
-    Returns (left, right, left Jacobian, right Jacobian).
+    One complex-step gradient of both 8x8 matrices serves every bracket
+    of both frames; it carries no truncation error, so the brackets hold
+    up to the chart equator.  Returns (left, right, left Jacobian, right
+    Jacobian).
     """
-    sign = np.asarray(rho_sign)[:, None, None]
+    sign = np.asarray(rho_sign)[:, None]
 
     def both(y: np.ndarray) -> np.ndarray:
         left, right, _ = _frames(y, sign, cfg)
@@ -343,8 +340,7 @@ def _frame_with_jacobian(x: np.ndarray, rho_sign, cfg: SpaceConfig):
 
     left, right, _ = _frames(x, rho_sign, cfg)
     # C order: the bracket products round differently on a transposed layout
-    jac = np.ascontiguousarray(numdiff.stencil_gradient(both, x, _coord_steps(cfg))
-                               .reshape(-1, 16, 8, 8))
+    jac = np.ascontiguousarray(numdiff.complex_step_gradient(both, x).reshape(-1, 16, 8, 8))
     return left, right, jac[:, :8], jac[:, 8:]
 
 

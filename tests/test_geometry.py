@@ -186,8 +186,22 @@ def test_killing_stencil_error_near_equator(cfg):
     c = chart([cfg.R * (1 - 1e-9), 0, 0])
     with pytest.raises(StencilError):
         killing_residual(c, lambda cc: np.array([1.0, 0.0, 0.0]), cfg)
-    with pytest.raises(StencilError):
-        christoffel(c, cfg)
+
+
+@pytest.mark.parametrize("R", [0.5, 1.0, 3.0])
+def test_christoffel_matches_closed_form_up_to_the_chart_equator(R, rng):
+    # Gamma^j_kl = eps^j g_kl / R^2, on both hemispheres, inside the ball and
+    # on the 0.999 R shell, where a 4th-order stencil of g was 5e-6 off
+    cfg = SpaceConfig(R, 1.0)
+    directions = rng.standard_normal((40, 3))
+    directions /= np.linalg.norm(directions, axis=1)[:, None]
+    points = sample_chart_points(rng, cfg, 40, 0.999) + [
+        chart(0.999 * R * d, sign) for d in directions for sign in (-1, 1)]
+    for c in points:
+        want = np.einsum("j,kl->jkl", c.eps, metric(c, cfg)) / (R * R)
+        assert np.max(np.abs(christoffel(c, cfg) - want)) <= 1e-11 * np.max(np.abs(want))
+    for sign in (-1, 1):
+        assert np.all(np.isfinite(christoffel(chart([R * (1 - 1e-9), 0, 0], sign), cfg)))
 
 
 # ---------------------------------------------------------------------------

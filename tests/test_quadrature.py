@@ -104,15 +104,6 @@ def test_node_accessor_and_positive_weights(cfg):
     assert np.all(grid.weight > 0.0)
 
 
-def test_grid_csv_dump(tmp_path, cfg):
-    grid = build_grid(4, 4, 4, cfg)
-    path = tmp_path / "grid.csv"
-    grid.to_csv(str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "chi,theta,phi,weight"
-    assert len(lines) == 1 + len(grid)
-
-
 def test_integrate_values_complex(cfg):
     grid = build_grid(8, 6, 8, cfg)
     vals = np.exp(1j * grid.phi)
