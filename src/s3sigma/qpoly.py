@@ -14,6 +14,8 @@ from itertools import product
 
 import numpy as np
 
+from .quadrature import QuadGrid, monomial_sums
+
 _DROP = 0.0  # coefficients exactly equal to zero are dropped
 
 
@@ -146,10 +148,9 @@ class MonomialBasis:
     polynomial r, so `coeffs @ rows(q)` (`values(q)`) evaluates the whole
     family.  Any linear operation on values (a difference stencil, a
     quadrature sum) can run on the real monomial rows once and meet the
-    real and imaginary coefficient parts at the end; `rows` takes a
-    shared power table, so many small families on the same nodes form
-    the powers once.  The monomials are the distinct ones of the family
-    or, given `max_degree`, all of degree <= max_degree.
+    real and imaginary coefficient parts at the end.  The monomials are
+    the distinct ones of the family or, given `max_degree`, all of
+    degree <= max_degree.
     """
 
     __slots__ = ("monos", "coeffs", "max_degree")
@@ -174,12 +175,10 @@ class MonomialBasis:
         basis.max_degree = max((sum(e) for e in basis.monos), default=0)
         return basis
 
-    def rows(self, q: np.ndarray, pows: list | None = None) -> np.ndarray:
-        """Real monomial values at q (..., 4), shape (len(monos), points);
-        pows is q's `_power_table` when the caller shares one."""
+    def rows(self, q: np.ndarray) -> np.ndarray:
+        """Real monomial values at q (..., 4), shape (len(monos), points)."""
         q = np.asarray(q, dtype=float).reshape(-1, 4)
-        if pows is None:
-            pows = _power_table(q, self.max_degree)
+        pows = _power_table(q, self.max_degree)
         M = np.empty((len(self.monos), q.shape[0]))
         # The monomials are sorted, so those sharing the leading exponents
         # are adjacent and reuse one partial product, formed left to right
@@ -209,22 +208,52 @@ class MonomialBasis:
             out.imag[:, b] = self.coeffs.imag @ M
         return out
 
-    def moment_matrix(self, q: np.ndarray, weight: np.ndarray) -> np.ndarray:
-        """G[j, k] = sum_n weight[n] m_j(q_n) m_k(q_n) over points q (N, 4).
+    def moment_matrix(self, grid: QuadGrid) -> np.ndarray:
+        """G[j, k]: the quadrature sum of m_j m_k on `grid`.
 
-        With quadrature weights, <f, g> = conj(c_f) @ G @ c_g for any two
-        members f, g of the family: the same sum in another order.  Weights
-        are >= 0: each block's rows are scaled by sqrt(weight) in place, so
-        M @ M.T is one BLAS syrk, and the block is freed before the next.
+        <f, g> = conj(c_f) @ G @ c_g for any two members f, g of the family.
+        One G over every monomial of degree <= max_degree is built per
+        (degree, grid) from the grid's 1-D rules and shared; a family on
+        fewer monomials reads its own rows and columns of it.  Read-only.
         """
-        q = np.asarray(q, dtype=float).reshape(-1, 4)
-        G = np.zeros((len(self.monos),) * 2)
-        for b in node_blocks(q.shape[0]):
-            M = self.rows(q[b])
-            M *= np.sqrt(weight[b])
-            G += M @ M.T
-            del M
-        return G
+        G = _moment_matrix(self.max_degree, grid)
+        if self.monos == list(monomials(self.max_degree)):
+            return G
+        index = {e: k for k, e in enumerate(monomials(self.max_degree))}
+        at = [index[e] for e in self.monos]
+        return G[np.ix_(at, at)]
+
+
+@lru_cache(maxsize=16)  # keyed by the grid's identity: `build_grid` shares one per orders
+def _moment_matrix(max_degree: int, grid: QuadGrid) -> np.ndarray:
+    """The moment matrix of every monomial of degree <= max_degree on `grid`."""
+    monos = np.array(monomials(max_degree))
+    G = monomial_sums(grid, monos[:, None, :] + monos[None, :, :])
+    G.flags.writeable = False
+    return G
+
+
+@lru_cache(maxsize=None)
+def _sphere_reduction(max_degree: int) -> np.ndarray:
+    """Red[j, k]: coefficient of monomial j in the reduction of monomial k.
+
+    Red replaces q0^2 by 1 - q1^2 - q2^2 - q3^2 until every monomial has
+    q0-degree <= 1, so Red @ c has the values of c on the unit sphere and
+    lies on the sum_{k <= d} (k + 1)^2 reduced monomials.  A polynomial
+    that vanishes on the sphere reduces to zero.  Integer entries; read-only.
+    """
+    monos = monomials(max_degree)
+    index = {e: k for k, e in enumerate(monos)}
+    red = np.zeros((len(monos),) * 2)
+    # Sorted order puts q0^(a-2) ... before q0^a ..., so every column used is done.
+    for k, (a, b, c, d) in enumerate(monos):
+        if a <= 1:
+            red[k, k] = 1.0
+        else:
+            red[:, k] = (red[:, index[a - 2, b, c, d]] - red[:, index[a - 2, b + 2, c, d]]
+                         - red[:, index[a - 2, b, c + 2, d]] - red[:, index[a - 2, b, c, d + 2]])
+    red.flags.writeable = False
+    return red
 
 
 def eval_many(polys: list[QPoly], q: np.ndarray) -> np.ndarray:

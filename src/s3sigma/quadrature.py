@@ -32,7 +32,11 @@ class HypersphericalNode:
 
 @dataclass(frozen=True, eq=False)
 class QuadGrid:
-    """Tensor-product grid; arrays are flattened over all nodes and read-only."""
+    """Tensor-product grid; arrays are flattened over all nodes and read-only.
+
+    `rules` holds the (nodes, weights) of its 1-D rules in chi, theta and
+    phi; a node's weight is R^3 times the product of its three weights.
+    """
 
     chi: np.ndarray
     theta: np.ndarray
@@ -40,6 +44,7 @@ class QuadGrid:
     weight: np.ndarray
     orders: tuple[int, int, int]
     R: float
+    rules: tuple[tuple[np.ndarray, np.ndarray], ...]
 
     def __len__(self) -> int:
         return self.chi.size
@@ -94,8 +99,34 @@ def build_grid(n_chi: int, n_theta: int, n_phi: int, cfg: SpaceConfig) -> QuadGr
     cg, tg, pg = np.meshgrid(chi, theta, phi, indexing="ij")
     wc, wt, wp = np.meshgrid(w_chi, w_u, w_phi, indexing="ij")
     weight = (cfg.R ** 3) * wc * wt * wp
+    rules = tuple((_read_only(x), _read_only(w))
+                  for x, w in ((chi, w_chi), (theta, w_u), (phi, w_phi)))
     return QuadGrid(*(_read_only(a.ravel()) for a in (cg, tg, pg, weight)),
-                    (n_chi, n_theta, n_phi), cfg.R)
+                    (n_chi, n_theta, n_phi), cfg.R, rules)
+
+
+def monomial_sums(grid: QuadGrid, expo: np.ndarray) -> np.ndarray:
+    """The grid's quadrature sum of q0^a q1^b q2^c q3^d for each integer
+    exponent row (a, b, c, d) of expo (..., 4), with no sum over nodes.
+
+    On the tensor-product grid it factorises (Folland, Amer. Math.
+    Monthly 108(5), 2001) into R^3 A[a, b+c+d] B[b+c, d] C[b, c], power
+    sums of the 1-D rules in chi (cos^a sin^s), theta (sin^t cos^d) and
+    phi (cos^b sin^c), with the sines and cosines `QuadGrid.q` takes.
+    """
+    a, b, c, d = np.moveaxis(np.asarray(expo), -1, 0)
+    top = int(np.max(a + b + c + d, initial=0))
+    (chi, w_chi), (theta, w_u), (phi, w_phi) = grid.rules
+    A = _power_sums(np.cos(chi), np.sin(chi), w_chi, top)
+    B = _power_sums(np.sin(theta), np.cos(theta), w_u, top)
+    C = _power_sums(np.cos(phi), np.sin(phi), w_phi, top)
+    return grid.R ** 3 * A[a, b + c + d] * B[b + c, d] * C[b, c]
+
+
+def _power_sums(x: np.ndarray, y: np.ndarray, w: np.ndarray, top: int) -> np.ndarray:
+    """S[i, j] = sum_n w_n x_n^i y_n^j for i, j <= top."""
+    k = np.arange(top + 1)[:, None]
+    return (x ** k * w) @ (y ** k).T
 
 
 def integrate(f, grid: QuadGrid) -> complex:

@@ -30,7 +30,7 @@ from . import numdiff
 from .config import SpaceConfig
 from .errors import DomainError
 from .geometry import LEVI_CIVITA, quat_mul
-from .qpoly import MonomialBasis, QPoly, _power_table, eval_many, monomials, node_blocks
+from .qpoly import MonomialBasis, QPoly, _sphere_reduction, eval_many, monomials, node_blocks
 from .quadrature import QuadGrid, build_grid, integrate_values
 from .specfun import gegenbauer_series_coefficients
 
@@ -127,23 +127,23 @@ def _level_norm_constants(n: int, R: float) -> tuple[float, ...]:
     """1 / ||raw|| for l = 0..n, each raw polynomial's values formed per node block.
 
     One set of real monomial rows per block serves the whole level; each raw
-    polynomial meets them in its own term order, real and imaginary parts
-    apart: the bits of `QPoly.__call__` up to the sign of zeros, which |vals| drops.
+    polynomial (m_z = 0, so its coefficients are real) meets them in its own
+    term order: the bits of `QPoly.__call__` up to the sign of zeros, which
+    |vals| drops.
     """
     grid = build_grid(max(32, 2 * n + 10), max(24, 2 * n + 6), max(48, 4 * n + 8), SpaceConfig(R))
     raws = [_basis_polynomial_raw(n, l, 0) for l in range(n + 1)]
     basis = MonomialBasis(raws)
-    terms = [[(basis.monos.index(e), c.real, c.imag) for e, c in raw.terms.items()] for raw in raws]
-    vals = np.zeros((n + 1, len(grid)), dtype=complex)
+    index = {e: k for k, e in enumerate(basis.monos)}
+    terms = [[(index[e], c.real) for e, c in raw.terms.items()] for raw in raws]
+    vals = np.zeros((n + 1, len(grid)))
     for b in node_blocks(len(grid)):
         M = basis.rows(grid.q[b])
         for v, v_terms in zip(vals, terms):
-            re, im = v.real[b], v.imag[b]
-            for k, c_re, c_im in v_terms:
-                re += c_re * M[k]
-                im += c_im * M[k]
-    return tuple(1.0 / math.sqrt(float(np.real(integrate_values(np.abs(v) ** 2, grid))))
-                 for v in vals)
+            block = v[b]
+            for k, c in v_terms:
+                block += c * M[k]
+    return tuple(1.0 / math.sqrt(integrate_values(np.abs(v) ** 2, grid)) for v in vals)
 
 
 def closed_form_norm_constant(n: int, l: int, cfg: SpaceConfig) -> float:
@@ -497,55 +497,55 @@ def eigen_residual_table(n_max: int, grid: QuadGrid, cfg: SpaceConfig,
                          backend: str = "analytic") -> list[dict]:
     """Rows (n, l, m_z, E, norm/H/J2/J3 residuals) for every label.
 
-    backend 'analytic' uses the polynomial operators; 'fd' runs the
-    finite-difference Laplace-Beltrami route for the energy residual
-    (the rotation residuals stay analytic).  One product per operator map
-    gives the coefficients of every label's image.  Each label's psi and
-    images come in real arithmetic: the real and imaginary coefficient
-    parts meet the real rows of its monomials, from one power table of
-    the nodes, and every residual is a quadrature sum of squared parts.
+    All labels at once, as coefficient columns on the monomials of degree
+    <= n_max, with every integral read from their moment matrix G on the
+    grid: norm^2 is psi^H G psi.  A residual r = Op psi - lambda psi
+    vanishes on the sphere only modulo |q|^2 - 1, so its coefficients are
+    O(1) and r^H G r would cancel.  Its reduction (`_sphere_reduction`)
+    has r's values on the sphere and coefficients of r's own size, on the
+    reduced monomials, where G = L L^T is positive definite: the squared
+    residual is ||L^T Red(r)||^2.  backend 'analytic' takes H psi from the
+    polynomial operator; 'fd' takes E psi at the nodes and sums the
+    finite-difference Laplace-Beltrami route's |H psi - E psi|^2 over
+    blocks of `_FD_BLOCK` nodes (the rotation residuals stay analytic).
     """
     labels = labels_up_to(n_max)
-    q = grid.q
     basis = MonomialBasis([psi(lb, cfg).poly for lb in labels], n_max)
     psi_c = basis.coeffs.T
-    images = [psi_c, _operator(n_max, "J2")(psi_c), -1j * _operator(n_max, "J", 2)(psi_c)]
+    G = basis.moment_matrix(grid)
+    norm2 = sum(np.sum(p * (G @ p), axis=0) for p in (psi_c.real, psi_c.imag))
+    l_l1, m_z, e_n = np.array([(lb.l * (lb.l + 1.0), lb.m_z, energy(lb.n, cfg)) for lb in labels]).T
+    resid = [_operator(n_max, "J2")(psi_c) - l_l1 * psi_c,
+             -1j * _operator(n_max, "J", 2)(psi_c) - m_z * psi_c]
     if backend == "analytic":
-        images.append((-0.5 / (cfg.m * cfg.R ** 2)) * _operator(n_max, "nu2")(psi_c))
+        resid.append((-0.5 / (cfg.m * cfg.R ** 2)) * _operator(n_max, "nu2")(psi_c) - e_n * psi_c)
+    red = _sphere_reduction(n_max)
+    keep = np.flatnonzero(red.any(axis=1))
+    L = np.linalg.cholesky(G[np.ix_(keep, keep)])
+    resid = np.stack(resid)
+    y = L.T @ (red[keep] @ np.stack([resid.real, resid.imag]))
+    squares = np.sum(y * y, axis=(0, 2))  # J2, J3 and, analytic, H
+    if backend == "analytic":
+        j22, j32, h2 = squares
     else:
-        # The stencil is linear: difference the real monomial rows of all labels
-        # once; the real and imaginary coefficients give the parts of each H psi.
-        lap = _fd_laplace_beltrami(basis.rows, q, cfg.R)
-        h_fd = np.stack([basis.coeffs.real @ lap, basis.coeffs.imag @ lap])
-        h_fd *= -0.5 / cfg.m
-        del lap
-    images = np.stack(images)
-    pows = _power_table(q, n_max)
-    rows = []
-    for i, lb in enumerate(labels):
-        used = np.flatnonzero(np.any(images[:, :, i] != 0.0, axis=0))
-        c = images[:, used, i]
-        M = MonomialBasis.from_coeffs([basis.monos[k] for k in used], c).rows(q, pows)
-        # real and imaginary parts of psi, J2 psi, J3 psi and H psi
-        parts = np.empty((2, 4, len(q)))
-        np.matmul(c.real, M, out=parts[0, :len(c)])
-        np.matmul(c.imag, M, out=parts[1, :len(c)])
-        del M
-        if backend != "analytic":
-            parts[:, 3] = h_fd[:, i]
-        e_n = energy(lb.n, cfg)
-        for r, eigenvalue in ((1, lb.l * (lb.l + 1.0)), (2, lb.m_z), (3, e_n)):
-            parts[:, r] -= eigenvalue * parts[:, 0]
-        np.square(parts, out=parts)
-        norm2, j22, j32, h2 = np.add(parts[0], parts[1], out=parts[0]) @ grid.weight
-        rows.append({
-            "n": lb.n, "l": lb.l, "m_z": lb.m_z, "energy": e_n,
-            "norm_residual": abs(float(norm2) - 1.0),
-            "h_residual": math.sqrt(h2) / math.sqrt(norm2),
-            "j2_residual": math.sqrt(j22) / math.sqrt(norm2),
-            "j3_residual": math.sqrt(j32) / math.sqrt(norm2),
-        })
-    return rows
+        j22, j32 = squares
+        h2 = np.zeros(len(labels))
+        e_psi = basis.values(grid.q)
+        e_psi *= e_n[:, None]
+        for s in range(0, len(grid), _FD_BLOCK):
+            block = slice(s, s + _FD_BLOCK)
+            lap = _fd_laplace_block(basis.rows, grid.q[block], cfg.R)
+            for coeffs, ev in ((basis.coeffs.real, e_psi.real), (basis.coeffs.imag, e_psi.imag)):
+                d = coeffs @ lap
+                d *= -0.5 / cfg.m
+                d -= ev[:, block]
+                h2 += np.square(d, out=d) @ grid.weight[block]
+    return [{"n": lb.n, "l": lb.l, "m_z": lb.m_z, "energy": float(e_n[i]),
+             "norm_residual": abs(float(norm2[i]) - 1.0),
+             "h_residual": math.sqrt(h2[i]) / math.sqrt(norm2[i]),
+             "j2_residual": math.sqrt(j22[i]) / math.sqrt(norm2[i]),
+             "j3_residual": math.sqrt(j32[i]) / math.sqrt(norm2[i])}
+            for i, lb in enumerate(labels)]
 
 
 def hermiticity_check(pair_count: int, grid: QuadGrid, cfg: SpaceConfig,
@@ -555,7 +555,8 @@ def hermiticity_check(pair_count: int, grid: QuadGrid, cfg: SpaceConfig,
     The operator maps give every image of the sampled basis functions,
     on the monomials of degree <= n_max + 1 (the positions raise the
     degree by one).  Every inner product is read as conj(c_f) @ G @ c_g
-    from one moment matrix G of those monomials.
+    from the grid's moment matrix G of those monomials, the one criterion
+    2 reads at n_max = 5.
     """
     rng = np.random.default_rng(seed)
     labels = labels_up_to(n_max)
@@ -571,7 +572,7 @@ def hermiticity_check(pair_count: int, grid: QuadGrid, cfg: SpaceConfig,
     psi_c = basis.coeffs.T
     coeffs = np.stack([psi_c] + [s * _operator(d, name, axis)(psi_c)
                                  for s, name, axis in ops.values()])
-    g_c = basis.moment_matrix(grid.q, grid.weight) @ coeffs
+    g_c = basis.moment_matrix(grid) @ coeffs
     a = [picked[lb] for lb, _ in pairs]
     b = [picked[lb] for _, lb in pairs]
     worst = {}

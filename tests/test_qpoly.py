@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from s3sigma import SpaceConfig
-from s3sigma.qpoly import MonomialBasis, QPoly, eval_many
+from s3sigma.qpoly import MonomialBasis, QPoly, _sphere_reduction, eval_many, monomials, node_blocks
 from s3sigma.quadrature import build_grid
 
 
@@ -91,10 +91,71 @@ def test_moment_matrix_matches_closed_form_sphere_moments(R):
     grid = build_grid(32, 16, 32, SpaceConfig(R))
     monos = [e for e in product(range(6), repeat=4) if sum(e) <= 5]
     basis = MonomialBasis([QPoly({e: 1.0}) for e in monos])
-    G = basis.moment_matrix(grid.q, grid.weight)
+    G = basis.moment_matrix(grid)
     exact = np.array([[_sphere_moment(np.add(a, b), R) for b in basis.monos]
                       for a in basis.monos])
     nonzero = exact != 0.0
     assert len(basis.monos) == 126
     np.testing.assert_allclose(G[nonzero], exact[nonzero], rtol=1e-12)
     assert np.max(np.abs(G[~nonzero])) < 1e-12 * R ** 3
+
+
+def _node_block_moment_matrix(basis, grid):
+    """Reference G: the node sum over blocks of the rows scaled by sqrt(weight)."""
+    G = np.zeros((len(basis.monos),) * 2)
+    for b in node_blocks(len(grid)):
+        M = basis.rows(grid.q[b])
+        M *= np.sqrt(grid.weight[b])
+        G += M @ M.T
+    return G
+
+
+@pytest.mark.parametrize("orders,R,degree", [
+    ((32, 16, 32), 1.0, 5), ((32, 16, 32), 1.7, 6), ((16, 12, 16), 0.5, 5)])
+def test_moment_matrix_from_1d_rules_equals_node_sum(orders, R, degree):
+    grid = build_grid(*orders, SpaceConfig(R))
+    basis = MonomialBasis([], degree)
+    G = basis.moment_matrix(grid)
+    ref = _node_block_moment_matrix(basis, grid)
+    assert G.shape == (len(monomials(degree)),) * 2
+    np.testing.assert_array_equal(G, G.T)
+    np.testing.assert_allclose(G, ref, rtol=0.0, atol=2e-15 * np.max(np.abs(ref)))
+    # one G per (degree, grid), read-only; a sparser family reads its block
+    assert basis.moment_matrix(grid) is G and not G.flags.writeable
+    sparse = MonomialBasis([QPoly({(0, 1, 0, 2): 1.0, (2, 0, 0, 0): 1j}), QPoly({(1, 0, 0, 0): 2.0})])
+    at = [monomials(3).index(e) for e in sparse.monos]
+    np.testing.assert_array_equal(sparse.moment_matrix(grid),
+                                  MonomialBasis([], 3).moment_matrix(grid)[np.ix_(at, at)])
+
+
+@pytest.mark.parametrize("d,support", [(5, 91), (6, 140)])
+def test_sphere_reduction_is_exact_on_monomials(d, support):
+    monos = monomials(d)
+    index = {e: k for k, e in enumerate(monos)}
+    red = _sphere_reduction(d)
+    assert red.shape == (len(monos),) * 2 and not red.flags.writeable
+    np.testing.assert_array_equal(red, np.round(red))
+    # (|q|^2 - 1) m reduces to exactly zero for every monomial m of degree <= d - 2
+    for e in monomials(d - 2):
+        z = np.zeros(len(monos))
+        z[index[e]] = -1.0
+        for axis in range(4):
+            z[index[tuple(np.add(e, 2 * np.eye(4, dtype=int)[axis]))]] += 1.0
+        assert not np.any(red @ z), e
+    np.testing.assert_array_equal(red @ red, red)
+    # the image lies on the sum_{k <= d} (k + 1)^2 monomials of q0-degree <= 1,
+    # and Red is the identity there
+    kept = np.flatnonzero(red.any(axis=1))
+    assert len(kept) == support == sum((k + 1) ** 2 for k in range(d + 1))
+    assert [monos[k] for k in kept] == [e for e in monos if e[0] <= 1]
+    np.testing.assert_array_equal(red[np.ix_(kept, kept)], np.eye(support))
+
+
+@pytest.mark.parametrize("d", [5, 6])
+def test_sphere_reduction_keeps_values_on_the_sphere(d, rng):
+    grid = build_grid(32, 16, 32, SpaceConfig(1.0))
+    monos = monomials(d)
+    coeffs = rng.uniform(-1.0, 1.0, size=(3, len(monos)))
+    vals = MonomialBasis.from_coeffs(monos, coeffs).values(grid.q)
+    reduced = MonomialBasis.from_coeffs(monos, coeffs @ _sphere_reduction(d).T).values(grid.q)
+    np.testing.assert_allclose(reduced, vals, rtol=0.0, atol=1e-13)

@@ -309,7 +309,7 @@ def test_moment_matrix_inner_products_match_quadrature(grid):
                 apply_position("rho", wf, CFG), apply_J(1, wf, CFG),
                 apply_hamiltonian(wf, CFG)]
     basis = MonomialBasis([w.poly for w in wfs])
-    G = basis.moment_matrix(grid.q, grid.weight)
+    G = basis.moment_matrix(grid)
     via_g = basis.coeffs.conj() @ G @ basis.coeffs.T
     direct = np.array([[integrate_values(np.conj(a.eval_q(grid.q)) * b.eval_q(grid.q), grid)
                         for b in wfs] for a in wfs])
@@ -428,23 +428,17 @@ def _complex_residual_table(n_max, grid, cfg, backend):
 @pytest.mark.parametrize("backend,orders", [("analytic", (32, 16, 32)),
                                             ("fd", (16, 12, 16))], ids=["analytic", "fd"])
 def test_residual_table_equals_complex_loop_bit_for_bit(backend, orders, R, m):
-    # A real eigenvalue times a complex value rounds its two parts as a
-    # real product each, so the real-arithmetic table keeps every bit.
+    # The table reads its integrals from the moment matrix, the reference
+    # sums complex node values per label: they agree at rounding level.
     cfg = SpaceConfig(R, m)
     grid = build_grid(*orders, cfg)
     table = quantum.eigen_residual_table(5, grid, cfg, backend=backend)
-    assert len(table) == 91
-    assert table == _complex_residual_table(5, grid, cfg, backend)
+    ref = _complex_residual_table(5, grid, cfg, backend)
+    assert len(table) == len(ref) == 91
+    _assert_table_matches(table, ref, backend)
 
 
-@pytest.mark.parametrize("backend,orders", [("analytic", (32, 16, 32)),
-                                            ("fd", (16, 12, 16))], ids=["analytic", "fd"])
-def test_residual_table_matches_per_label_reference(backend, orders):
-    cfg = SpaceConfig(1.3, 0.7)
-    grid = build_grid(*orders, cfg)
-    table = quantum.eigen_residual_table(4, grid, cfg, backend=backend)
-    ref = _reference_residual_table(4, grid, cfg, backend)
-    assert len(table) == len(ref) == 55
+def _assert_table_matches(table, ref, backend):
     for row, want in zip(table, ref):
         assert {k: row[k] for k in ("n", "l", "m_z", "energy")} == \
             {k: want[k] for k in ("n", "l", "m_z", "energy")}
@@ -458,10 +452,55 @@ def test_residual_table_matches_per_label_reference(backend, orders):
             assert abs(row["h_residual"] - want["h_residual"]) < 1e-12, row
 
 
+@pytest.mark.parametrize("backend,orders", [("analytic", (32, 16, 32)),
+                                            ("fd", (16, 12, 16))], ids=["analytic", "fd"])
+def test_residual_table_matches_per_label_reference(backend, orders):
+    cfg = SpaceConfig(1.3, 0.7)
+    grid = build_grid(*orders, cfg)
+    table = quantum.eigen_residual_table(4, grid, cfg, backend=backend)
+    ref = _reference_residual_table(4, grid, cfg, backend)
+    assert len(table) == len(ref) == 55
+    _assert_table_matches(table, ref, backend)
+
+
+@pytest.mark.parametrize("n_max", [5, 6])
+@pytest.mark.parametrize("R,m", [(1.0, 1.0), (1.3, 0.7), (0.5, 0.5), (3.0, 1.0)])
+def test_residual_table_is_finite_and_nonnegative(R, m, n_max):
+    # The residuals are sums of squares on the reduced monomials, where the
+    # moment matrix is positive definite, so none can come out negative.
+    cfg = SpaceConfig(R, m)
+    for backend, orders in (("analytic", (32, 16, 32)), ("fd", (16, 12, 16))):
+        table = quantum.eigen_residual_table(n_max, build_grid(*orders, cfg), cfg, backend)
+        assert len(table) == sum((n + 1) ** 2 for n in range(n_max + 1))
+        for row in table:
+            for key in ("norm_residual", "h_residual", "j2_residual", "j3_residual"):
+                assert math.isfinite(row[key]) and row[key] >= 0.0, (backend, row, key)
+
+
+def test_spectrum_and_selfadjointness_build_one_moment_matrix_per_grid(monkeypatch):
+    from s3sigma import qpoly, suite
+
+    built = []
+
+    def counted(grid, expo):
+        built.append(grid)
+        return sums(grid, expo)
+
+    sums = qpoly.monomial_sums
+    monkeypatch.setattr(qpoly, "monomial_sums", counted)
+    rc = suite.RunConfig(R=0.91, m=1.1)  # a radius and mass no other test uses
+    assert suite.check_spectrum(rc).passed
+    assert suite.check_selfadjointness(rc).passed
+    # c2's analytic table and c11 share the quantum grid's degree-5 G, and
+    # c2's FD table reads the one of its own grid
+    assert len(built) == 2 and built[0] is rc.quantum_grid()
+    assert built[1] is build_grid(16, 12, 16, rc.space())
+
+
 def test_residual_table_memory_is_per_label():
-    # One label's monomial rows are at most a few MB on the 16,384-node
-    # grid; the 210 monomials of every label with n <= 6 would hold 27.5
-    # MB of real rows before any complex product.
+    # The table holds coefficient matrices and the moment matrix, never
+    # node values (6.8 MB traced at n <= 6); the 210 monomial rows of every
+    # label on the 16,384-node grid alone would be 27.5 MB.
     import tracemalloc
 
     cfg = SpaceConfig(1.0, 1.0)
