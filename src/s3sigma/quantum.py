@@ -30,7 +30,9 @@ from . import numdiff
 from .config import SpaceConfig
 from .errors import DomainError
 from .geometry import LEVI_CIVITA, quat_mul
-from .qpoly import MonomialBasis, QPoly, _sphere_reduction, eval_many, monomials, node_blocks
+# eval_many stays bound here, an import-by-name site the benchmark tracer's tests check.
+from .qpoly import (MonomialBasis, QPoly, _sphere_reduction, eval_many,  # noqa: F401
+                    monomials, node_blocks)
 from .quadrature import QuadGrid, build_grid, integrate_values
 from .specfun import gegenbauer_series_coefficients
 
@@ -478,19 +480,26 @@ def _wf_sum(wfs: list[WaveFunction], s) -> WaveFunction:
 def gram_matrix(n_max: int, grid: QuadGrid, cfg: SpaceConfig):
     """Labels and Gram matrix of the orthonormal basis through n_max.
 
-    The quadrature sum runs over node blocks, as `moment_matrix` does:
-    only one block's values of the basis are held at once.
+    The quadrature sum of conj(psi_j) psi_k on node values, not through
+    `moment_matrix`: the oracle independent of G.  All in real arithmetic:
+    with c = [Re C; Im C], each node block scales its monomial rows by
+    sqrt(weight), forms V = c @ rows and adds V V^T (one symmetric product)
+    into S = [[S_rr, S_ri], [S_ri^T, S_ii]].  Gram = (S_rr + S_ii) +
+    i (S_ri - S_ri^T) is Hermitian exactly.
     """
     labels = labels_up_to(n_max)
     basis = MonomialBasis([psi(lb, cfg).poly for lb in labels])
-    gram = np.zeros((len(labels), len(labels)), dtype=complex)
+    c = np.concatenate([basis.coeffs.real, basis.coeffs.imag])
+    S = np.zeros((len(c), len(c)))
     for b in node_blocks(len(grid)):
-        vals = basis.values(grid.q[b])
-        weighted = vals.conj()
-        weighted *= grid.weight[b]
-        gram += weighted @ vals.T
-        del vals, weighted  # freed before the next block's values are formed
-    return labels, gram
+        rows = basis.rows(grid.q[b])
+        rows *= np.sqrt(grid.weight[b])
+        V = c @ rows
+        S += V @ V.T
+        del rows, V  # freed before the next block's rows are formed
+    n = len(labels)
+    s_ri = S[:n, n:]
+    return labels, (S[:n, :n] + S[n:, n:]) + 1j * (s_ri - s_ri.T)
 
 
 def eigen_residual_table(n_max: int, grid: QuadGrid, cfg: SpaceConfig,
@@ -581,30 +590,6 @@ def hermiticity_check(pair_count: int, grid: QuadGrid, cfg: SpaceConfig,
         rhs = np.sum(coeffs[k][:, a].conj() * g_c[0][:, b], axis=0)
         worst[name] = float(np.max(np.abs(lhs - rhs), initial=0.0))
     worst["max"] = max(worst.values())
-    return worst
-
-
-def level_leakage(n: int, grid: QuadGrid, cfg: SpaceConfig,
-                  n_max: int | None = None) -> float:
-    """Worst projection outside level n of rotation and velocity images.
-
-    The images cover every J_a, every nu_a, and every velocity quadratic
-    nu_a nu_b applied to each basis function of the level; all of them
-    must stay inside the (n + 1)^2-dimensional eigenspace.
-    """
-    n_max = n + 2 if n_max is None else n_max
-    others = [psi(lb, cfg).poly for lb in labels_up_to(n_max) if lb.n != n]
-    weighted = eval_many(others, grid.q).conj() * grid.weight
-    level = [psi(lb, cfg).poly for lb in labels_up_to(n) if lb.n == n]
-    psi_c = MonomialBasis(level, n).coeffs.T
-    s = -1j / (cfg.m * cfg.R)  # nu_a = s (R Z_a)
-    nu = [s * _operator(n, "right", a)(psi_c) for a in range(3)]
-    images = np.stack(nu + [-1j * _operator(n, "J", a)(psi_c) for a in range(3)]
-                      + [s * _operator(n, "right", a)(nu_b) for a in range(3) for nu_b in nu])
-    worst = 0.0
-    for i in range(len(level)):
-        image_vals = MonomialBasis.from_coeffs(monomials(n), images[:, :, i]).values(grid.q)
-        worst = max(worst, float(np.max(np.abs(weighted @ image_vals.T))))
     return worst
 
 
