@@ -485,18 +485,24 @@ def gram_matrix(n_max: int, grid: QuadGrid, cfg: SpaceConfig):
     with c = [Re C; Im C], each node block scales its monomial rows by
     sqrt(weight), forms V = c @ rows and adds V V^T (one symmetric product)
     into S = [[S_rr, S_ri], [S_ri^T, S_ii]].  Gram = (S_rr + S_ii) +
-    i (S_ri - S_ri^T) is Hermitian exactly.
+    i (S_ri - S_ri^T) is Hermitian exactly.  Rows of c that are zero (the
+    imaginary parts of the real m_z = 0 functions) are left out of both
+    products; their rows and columns of S stay zero.
     """
     labels = labels_up_to(n_max)
     basis = MonomialBasis([psi(lb, cfg).poly for lb in labels])
     c = np.concatenate([basis.coeffs.real, basis.coeffs.imag])
-    S = np.zeros((len(c), len(c)))
+    nonzero = np.flatnonzero(c.any(axis=1))
+    c_nz = c[nonzero]
+    S_nz = np.zeros((len(c_nz), len(c_nz)))
     for b in node_blocks(len(grid)):
         rows = basis.rows(grid.q[b])
         rows *= np.sqrt(grid.weight[b])
-        V = c @ rows
-        S += V @ V.T
+        V = c_nz @ rows
+        S_nz += V @ V.T
         del rows, V  # freed before the next block's rows are formed
+    S = np.zeros((len(c), len(c)))
+    S[np.ix_(nonzero, nonzero)] = S_nz
     n = len(labels)
     s_ri = S[:n, n:]
     return labels, (S[:n, :n] + S[n:, n:]) + 1j * (s_ri - s_ri.T)

@@ -31,7 +31,7 @@ from .errors import DomainError
 # dual_field stays bound here, an import-by-name site that the benchmark
 # tracer's tests check, though the frames below no longer call it.
 from .geometry import (ChartCoords, LEVI_CIVITA, _dot, _dual, _heights,  # noqa: F401
-                       _off_equator, cross_matrix, dual_field, quat_mul)
+                       cross_matrix, dual_field, quat_mul)
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,19 +311,6 @@ def dtheta_matrix(g: SigmaGroupElement, cfg: SpaceConfig) -> np.ndarray:
     return _dtheta(*_coords(g.batch), cfg)[0]
 
 
-def dtheta_exact(g: SigmaGroupElement, cfg: SpaceConfig) -> np.ndarray:
-    """Closed-form dTheta for the chart interior, used as a cross-check."""
-    r = _off_equator(g.rho)
-    out = np.zeros((8, 8))
-    m, R = cfg.m, cfg.R
-    for k in range(3):
-        out[k, 3 + k] = -m
-        out[3 + k, k] = +m
-        out[k, 6] = m * g.eps[k] / (R * r)
-        out[6, k] = -m * g.eps[k] / (R * r)
-    return out
-
-
 def _frame_with_jacobian(x: np.ndarray, rho_sign, cfg: SpaceConfig):
     """Both frames at coordinates x (N, 8) and their Jacobians J[n, a, k, i] = d F[n, a, k] / d x^i.
 
@@ -481,31 +468,24 @@ def sample_batch(rng: np.random.Generator, cfg: SpaceConfig, count: int,
     """Random elements with |eps| <= R sin(pi/8) unless told otherwise.
 
     That radius bound keeps pairwise and triple products away from the
-    chart equator, where single-chart comparisons are made.  Draws go
-    element by element, so the first k elements do not depend on count
-    and a seed keeps naming the elements its reports were made from.
+    chart equator, where single-chart comparisons are made.  One normal
+    draw x (count, 11) gives element k from row k alone: eps = R f x[:3] /
+    |x[:5]|, uniform in the ball of radius R f (the first three of five
+    normal coordinates over the norm of all five; Voelker, Gosmann &
+    Stewart, 2017), nu = x[5:8], z = x[8] and zeta = (x[9] + i x[10]) /
+    |x[9] + i x[10]|.  So the first k elements do not depend on count and
+    a seed keeps naming the elements its reports were made from.
     """
     if radius_fraction is None:
         radius_fraction = math.sin(math.pi / 8.0)
-    eps = np.empty((count, 3))
-    nu = np.empty((count, 3))
-    z = np.empty(count)
-    u = np.empty(count)
-    phase = np.empty(count)
-    for k in range(count):
-        eps[k] = rng.standard_normal(3)
-        u[k] = rng.random()
-        nu[k] = rng.standard_normal(3)
-        z[k] = rng.standard_normal()
-        phase[k] = 2.0 * math.pi * rng.random()
-    # Only the draws run per element.  eps holds the drawn directions; the
-    # stacked row products round as np.linalg.norm of each row, and radius
-    # and phase are Python float and cmath operations, element by element.
-    eps /= np.sqrt(eps[:, None, :] @ eps[:, :, None])[:, 0]
-    scale = cfg.R * radius_fraction
-    eps *= np.fromiter((scale * float(r) ** (1.0 / 3.0) for r in u), float, count)[:, None]
-    zeta = np.fromiter((cmath.exp(1j * float(a)) for a in phase), complex, count)
-    return ElementBatch.from_chart(eps, np.ones(count, dtype=int), nu, z, zeta, cfg)
+    x = rng.standard_normal((count, 11))
+    # the squares of each row summed in order, rounding as a Python sum
+    scale = (cfg.R * radius_fraction) / np.sqrt(np.sum(x[:, :5] ** 2, axis=1))
+    # hypot and a division of each part round as abs() and / of a Python complex
+    mod = np.hypot(x[:, 9], x[:, 10])
+    zeta = x[:, 9] / mod + 1j * (x[:, 10] / mod)
+    return ElementBatch.from_chart(x[:, :3] * scale[:, None], np.ones(count, dtype=int),
+                                   x[:, 5:8], x[:, 8], zeta, cfg)
 
 
 def group_axiom_residuals(rng: np.random.Generator, cfg: SpaceConfig,
