@@ -33,7 +33,7 @@ from .geometry import LEVI_CIVITA, quat_mul
 # eval_many stays bound here, an import-by-name site the benchmark tracer's tests check.
 from .qpoly import (MonomialBasis, QPoly, _sphere_reduction, eval_many,  # noqa: F401
                     monomials, node_blocks)
-from .quadrature import QuadGrid, build_grid, integrate_values
+from .quadrature import QuadGrid, build_grid
 from .specfun import gegenbauer_series_coefficients
 
 # Finite-difference steps along the group flows, relative to R, the same
@@ -126,38 +126,24 @@ def basis_norm_constant(n: int, l: int, cfg: SpaceConfig) -> float:
 
 @lru_cache(maxsize=None)
 def _level_norm_constants(n: int, R: float) -> tuple[float, ...]:
-    """1 / ||raw|| for l = 0..n, each raw polynomial's values formed per node block.
+    """1 / ||raw|| for l = 0..n, summed over the phi = 0 slice of the level's grid.
 
-    One set of real monomial rows per block serves the whole level; each raw
-    polynomial (m_z = 0, so its coefficients are real) meets them in its own
-    term order: the bits of `QPoly.__call__` up to the sign of zeros, which
-    |vals| drops.
+    A raw with m_z = 0 depends on q1 and q2 only through q1^2 + q2^2, so
+    it takes the same values on every phi slice of the tensor-product
+    grid, and the grid's sum of raw^2 factorises exactly into sum w_phi
+    times the weighted sum over one slice (as `quadrature.monomial_sums`
+    does for G).  The slice has n_chi * n_theta points; the full grid's
+    points are never formed.  Its chi order, Gauss-Legendre in the angle,
+    grows as 4 n so that the sum stays exact to rounding up to n = 12.
     """
-    grid = build_grid(max(32, 2 * n + 10), max(24, 2 * n + 6), max(48, 4 * n + 8), SpaceConfig(R))
-    raws = [_basis_polynomial_raw(n, l, 0) for l in range(n + 1)]
-    basis = MonomialBasis(raws)
-    index = {e: k for k, e in enumerate(basis.monos)}
-    terms = [[(index[e], c.real) for e, c in raw.terms.items()] for raw in raws]
-    vals = np.zeros((n + 1, len(grid)))
-    for b in node_blocks(len(grid)):
-        M = basis.rows(grid.q[b])
-        for v, v_terms in zip(vals, terms):
-            block = v[b]
-            for k, c in v_terms:
-                block += c * M[k]
-    return tuple(1.0 / math.sqrt(integrate_values(np.abs(v) ** 2, grid)) for v in vals)
-
-
-def closed_form_norm_constant(n: int, l: int, cfg: SpaceConfig) -> float:
-    """Closed-form normalization, published next to the measured one.
-
-    N_nl = 2^l l! sqrt(2 (n + 1) (n - l)! / (pi R^3 (n + l + 1)!)); the
-    pi R^3 factor is the fitted value of the otherwise free constant in
-    the normalization, confirmed by the quadrature oracle.
-    """
-    num = 2.0 * (n + 1.0) * math.factorial(n - l)
-    den = math.pi * cfg.R ** 3 * math.factorial(n + l + 1)
-    return (2.0 ** l) * math.factorial(l) * math.sqrt(num / den)
+    grid = build_grid(max(32, 4 * n), max(24, 2 * n + 6), max(48, 4 * n + 8), SpaceConfig(R))
+    (chi, w_chi), (theta, w_u), (_, w_phi) = grid.rules
+    c, t = np.meshgrid(chi, theta, indexing="ij")
+    q = np.stack([np.cos(c), np.sin(c) * np.sin(t), np.zeros_like(c), np.sin(c) * np.cos(t)],
+                 axis=-1)
+    vals = MonomialBasis([_basis_polynomial_raw(n, l, 0) for l in range(n + 1)]).values(q).real
+    w = R ** 3 * np.sum(w_phi) * np.outer(w_chi, w_u).ravel()
+    return tuple(1.0 / math.sqrt(s) for s in (vals ** 2) @ w)
 
 
 def measured_normalization_factor(n: int, l: int, cfg: SpaceConfig) -> float:
@@ -731,25 +717,3 @@ def contraction_study(R_values, cfg: SpaceConfig | None = None, r0: float = 1.0)
         "position": {"deviation": d_pos,
                      "identically_zero": all(v == 0.0 for v in d_pos)},
     }
-
-
-# ---------------------------------------------------------------------------
-# polarized lift over the full symmetry group
-
-def polarized_wavefunction(phi_wf: WaveFunction, cfg: SpaceConfig):
-    """Lift a configuration-space wave function to the group.
-
-    Psi(zeta, eps, nu, z) = zeta exp(-i m (eps . nu + R (rho - 1) z))
-    phi(eps); the right-frame derivatives of this lift reduce to the
-    configuration-space operator dictionary, which is what the dedicated
-    reduction test exercises.
-    """
-    m, R = cfg.m, cfg.R
-
-    def lift(g) -> complex:
-        r = g.rho
-        q = np.concatenate(([r], g.eps / R))
-        phase = -m * (float(np.dot(g.eps, g.nu)) + R * (r - 1.0) * g.z)
-        return g.zeta * complex(np.exp(1j * phase)) * complex(phi_wf.eval_q(q))
-
-    return lift

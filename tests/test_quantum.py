@@ -11,10 +11,8 @@ from s3sigma.geometry import LEVI_CIVITA
 from s3sigma.qpoly import MonomialBasis, QPoly, eval_many, monomials
 from s3sigma import quantum
 from s3sigma.quantum import (SmoothBump, WaveFunction, basis_norm_constant,
-                             closed_form_norm_constant,
                              energy, gram_matrix, hermiticity_check,
-                             labels_up_to, measured_normalization_factor,
-                             polarized_wavefunction)
+                             labels_up_to, measured_normalization_factor)
 from s3sigma import numdiff, suite
 from s3sigma.sigma_group import (element_from_coords, left_fields, right_fields,
                                  sample_batch)
@@ -98,12 +96,21 @@ def test_finite_at_poles():
     assert np.all(np.isfinite(vals))
 
 
+def _closed_form_norm_constant(n, l, cfg):
+    """N_nl = 2^l l! sqrt(2 (n + 1) (n - l)! / (pi R^3 (n + l + 1)!))."""
+    num = 2.0 * (n + 1.0) * math.factorial(n - l)
+    den = math.pi * cfg.R ** 3 * math.factorial(n + l + 1)
+    return (2.0 ** l) * math.factorial(l) * math.sqrt(num / den)
+
+
 def test_normalization_constant_closed_form():
+    # every level the basis builds: the chi rule must resolve n = 12 too
     for cfg in (CFG, SpaceConfig(1.7, 0.4)):
-        for (n, l) in ((0, 0), (2, 1), (5, 5), (4, 2)):
-            quad = basis_norm_constant(n, l, cfg)
-            closed = closed_form_norm_constant(n, l, cfg)
-            assert quad == pytest.approx(closed, rel=1e-12)
+        for n in range(quantum.MAX_BASIS_LEVEL + 1):
+            for l in range(n + 1):
+                quad = basis_norm_constant(n, l, cfg)
+                closed = _closed_form_norm_constant(n, l, cfg)
+                assert quad == pytest.approx(closed, rel=1e-12), (n, l)
 
 
 def test_measured_normalization_factor_is_pi_r_cubed():
@@ -378,18 +385,48 @@ def test_first_norm_miss_fills_its_whole_level(monkeypatch):
         basis_norm_constant(5, 0, cfg)  # the next level is its own fill
 
 
+def _level_grid(n, R):
+    """The quadrature grid of level n's normalisation constants."""
+    return build_grid(max(32, 4 * n), max(24, 2 * n + 6), max(48, 4 * n + 8), SpaceConfig(R))
+
+
 @pytest.mark.parametrize("R", [1.0, 1.3, 0.7])
-def test_norm_constant_equals_qpoly_evaluation_exactly(R):
-    # Reference: the raw polynomial through `QPoly.__call__` on the
-    # constant's quadrature grid, then one quadrature sum of |vals|^2.
+def test_norm_constant_matches_full_grid_qpoly_evaluation(R):
+    # Reference: the raw polynomial through `QPoly.__call__` on every node of
+    # the constant's quadrature grid, then one quadrature sum of |vals|^2.
     for n in range(quantum.MAX_BASIS_LEVEL + 1):
-        grid = build_grid(max(32, 2 * n + 10), max(24, 2 * n + 6), max(48, 4 * n + 8),
-                          SpaceConfig(R))
+        grid = _level_grid(n, R)
         for l in range(n + 1):
             raw = quantum._basis_polynomial_raw(n, l, 0)
             ref = 1.0 / math.sqrt(float(np.real(
                 integrate_values(np.abs(raw(grid.q)) ** 2, grid))))
-            assert basis_norm_constant(n, l, SpaceConfig(R)) == ref, (n, l)
+            assert basis_norm_constant(n, l, SpaceConfig(R)) == pytest.approx(ref, rel=1e-13), (n, l)
+
+
+def test_norm_raws_take_the_same_values_on_every_phi_slice():
+    # The premise of the phi = 0 slice sum.  The slices differ by the
+    # evaluation's own rounding, so the bound is relative to the sum of
+    # the absolute terms at each node.
+    for n in range(quantum.MAX_BASIS_LEVEL + 1):
+        grid = _level_grid(n, 1.0)
+        for l in range(n + 1):
+            raw = quantum._basis_polynomial_raw(n, l, 0)
+            vals = raw(grid.q).reshape(grid.orders)
+            scale = QPoly({e: abs(c) for e, c in raw.terms.items()})(np.abs(grid.q)).real
+            assert np.all(np.abs(vals - vals[..., :1]) <= 4e-15 * scale.reshape(grid.orders)), (n, l)
+
+
+def test_norm_constants_never_form_the_grid_points(monkeypatch):
+    built = []
+
+    def recording(*args):
+        built.append(build_grid(*args))
+        return built[-1]
+
+    monkeypatch.setattr(quantum, "build_grid", recording)
+    # uncached, at a radius no other test uses: a fresh grid
+    quantum._level_norm_constants.__wrapped__(7, 0.61)
+    assert len(built) == 1 and "q" not in built[0].__dict__
 
 
 def _reference_residual_table(n_max, grid, cfg, backend):
@@ -729,10 +766,24 @@ def test_contraction_rejects_wide_support():
 # ---------------------------------------------------------------------------
 # polarized lift
 
+def _polarized_wavefunction(phi_wf, cfg):
+    """Psi(zeta, eps, nu, z) = zeta exp(-i m (eps . nu + R (rho - 1) z)) phi(eps):
+    a configuration-space wave function lifted to the group."""
+    m, R = cfg.m, cfg.R
+
+    def lift(g) -> complex:
+        r = g.rho
+        q = np.concatenate(([r], g.eps / R))
+        phase = -m * (float(np.dot(g.eps, g.nu)) + R * (r - 1.0) * g.z)
+        return g.zeta * complex(np.exp(1j * phase)) * complex(phi_wf.eval_q(q))
+
+    return lift
+
+
 def test_polarized_lift_reduces_to_operator_dictionary(rng):
     cfg = CFG
     phi_wf = psi(SpectralLabel(2, 1, 0), cfg)
-    lift = polarized_wavefunction(phi_wf, cfg)
+    lift = _polarized_wavefunction(phi_wf, cfg)
     for g in sample_batch(np.random.default_rng(3), cfg, 3):
         x0 = np.concatenate((g.eps, g.nu, [g.z], [g.phi]))
 
