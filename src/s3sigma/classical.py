@@ -20,6 +20,7 @@ from .errors import DomainError
 from .geometry import (ChartCoords, LEVI_CIVITA, _check_stencil_margin, _dot, _heights,
                        _metric, _metric_inverse, _off_equator, canonical_one_form, dual_field,
                        metric, metric_inverse, rho, sample_chart_points)
+from .sampling import Draws
 
 _REST_OMEGA = 1e-300
 
@@ -410,12 +411,12 @@ def poisson_bracket(f, g, at: SolutionPoint, cfg: SpaceConfig) -> float:
     return float(fe @ gp - fp @ ge)
 
 
-def _sample_solution_points(rng: np.random.Generator, cfg: SpaceConfig,
+def _sample_solution_points(rng: Draws, cfg: SpaceConfig,
                             count: int, radius_fraction: float = 0.7) -> np.ndarray:
     """count Darboux rows (eps, pi), (count, 6), upper hemisphere; chart points drawn first."""
     eps = [c.eps for c in sample_chart_points(rng, cfg, count, radius_fraction,
                                               both_hemispheres=False)]
-    return np.hstack((np.reshape(eps, (count, 3)), cfg.m * rng.normal(size=(count, 3))))
+    return np.hstack((np.reshape(eps, (count, 3)), cfg.m * rng.standard_normal((count, 3))))
 
 
 def _stencil_steps(x, cfg: SpaceConfig) -> np.ndarray:
@@ -494,7 +495,7 @@ def verify_basic_algebra(sample_count: int, cfg: SpaceConfig, seed: int = 0,
     Jacobi identity of all 35 triples from one Jacobi tensor for all
     Jacobi points.
     """
-    rng = np.random.default_rng(seed)
+    rng = Draws(seed)
     x = _sample_solution_points(rng, cfg, sample_count)
     brackets = _bracket_matrix(x, +1, cfg)
     e0 = x[:, :3]

@@ -19,6 +19,7 @@ from .errors import DomainError
 from .geometry import ChartCoords
 from .quadrature import build_grid
 from .reports import SUITE_VERSION, to_json, write_csv, write_json
+from .sampling import Draws
 
 EXIT_OK = 0
 EXIT_RESIDUAL = 1
@@ -142,7 +143,7 @@ def cmd_groupcheck(args) -> int:
     axioms = suite.check_group_axioms(rc, args.samples)
     # criterion 5 at one sample brackets exactly the probe, the first draw of [seed, 5]
     lie = suite.check_lie_algebra(rc, samples=1)
-    probe = sigma_group.sample_batch(np.random.default_rng([rc.seed, 5]), cfg, 1)[0]
+    probe = sigma_group.sample_batch(Draws(rc.seed, 5), cfg, 1)[0]
     payload = {
         "suite": SUITE_VERSION,
         "config": rc.as_dict(),

@@ -26,6 +26,7 @@ import numpy as np
 from . import numdiff
 from .config import SpaceConfig
 from .errors import ChartBoundaryError, DomainError, StencilError
+from .sampling import Draws
 
 #: Levi-Civita symbol, LEVI_CIVITA[i, j, k] = +1 for (0,1,2) and cyclic.
 LEVI_CIVITA = np.zeros((3, 3, 3))
@@ -238,15 +239,13 @@ def killing_residual(c: ChartCoords, field_fn, cfg: SpaceConfig,
     return float(np.max(np.abs(lie)))
 
 
-def sample_chart_points(rng: np.random.Generator, cfg: SpaceConfig, count: int,
+def sample_chart_points(rng: Draws, cfg: SpaceConfig, count: int,
                         max_radius_fraction: float = 0.9,
                         both_hemispheres: bool = True) -> list[ChartCoords]:
-    """Uniformly scattered chart points with |eps| <= fraction * R."""
-    pts = []
-    for _ in range(count):
-        v = rng.normal(size=3)
-        v /= np.linalg.norm(v)
-        radius = cfg.R * max_radius_fraction * rng.uniform() ** (1.0 / 3.0)
-        sign = int(rng.choice([-1, 1])) if both_hemispheres else +1
-        pts.append(ChartCoords(radius * v, sign))
-    return pts
+    """Uniformly scattered chart points with |eps| <= f R: normal directions (count, 3),
+    and uniforms (count, 2) for the radius R f u^(1/3) and the sign (-1 where u < 0.5)."""
+    v = rng.standard_normal((count, 3))
+    u = rng.random((count, 2))
+    eps = v * (cfg.R * max_radius_fraction * np.cbrt(u[:, 0]) / np.linalg.norm(v, axis=1))[:, None]
+    signs = np.where(u[:, 1] < 0.5, -1, 1) if both_hemispheres else np.ones(count, dtype=int)
+    return [ChartCoords(e, int(s)) for e, s in zip(eps, signs)]

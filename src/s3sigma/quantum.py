@@ -34,6 +34,7 @@ from .geometry import LEVI_CIVITA, quat_mul
 from .qpoly import (MonomialBasis, QPoly, _sphere_reduction, eval_many,  # noqa: F401
                     monomials, node_blocks)
 from .quadrature import QuadGrid, build_grid
+from .sampling import Draws
 from .specfun import gegenbauer_series_coefficients
 
 # Finite-difference steps along the group flows, relative to R, the same
@@ -559,14 +560,14 @@ def hermiticity_check(pair_count: int, grid: QuadGrid, cfg: SpaceConfig,
     from the grid's moment matrix G of those monomials, the one criterion
     2 reads at n_max = 5.
     """
-    rng = np.random.default_rng(seed)
+    rng = Draws(seed)
     labels = labels_up_to(n_max)
     m, R = cfg.m, cfg.R
     ops = {f"nu_{a + 1}": (-1j / (m * R), "right", a) for a in range(3)}  # (scalar, operator, axis)
     ops.update({f"eps_{a}": (R, "X", a) for a in (1, 2, 3)}, rho=(1.0, "rho", 0))
     ops.update({f"J_{a + 1}": (-1j, "J", a) for a in range(3)}, H=(-0.5 / (m * R * R), "nu2", 0))
-    pairs = [[labels[int(i)] for i in rng.integers(0, len(labels), size=2)]
-             for _ in range(pair_count)]
+    pairs = [[labels[i] for i in pair]
+             for pair in rng.integers(0, len(labels), size=(pair_count, 2)).tolist()]
     picked = {lb: k for k, lb in enumerate(dict.fromkeys(lb for pair in pairs for lb in pair))}
     d = n_max + 1
     basis = MonomialBasis([psi(lb, cfg).poly for lb in picked], d)

@@ -11,7 +11,7 @@ import json
 import os
 import tempfile
 
-SUITE_VERSION = "s3sigma-suite/0.2.0"
+SUITE_VERSION = "s3sigma-suite/0.3.0"
 
 DEFAULT_TOLERANCES = {
     "volume": 1e-12,

@@ -32,6 +32,7 @@ from .errors import DomainError
 # tracer's tests check, though the frames below no longer call it.
 from .geometry import (ChartCoords, LEVI_CIVITA, _dot, _dual, _heights,  # noqa: F401
                        cross_matrix, dual_field, quat_mul)
+from .sampling import Draws
 
 
 @dataclass(frozen=True, eq=False)
@@ -463,18 +464,18 @@ def characteristic_check(g: SigmaGroupElement, cfg: SpaceConfig) -> dict:
     return {key: float(v[0]) for key, v in chk.items()}
 
 
-def sample_batch(rng: np.random.Generator, cfg: SpaceConfig, count: int,
+def sample_batch(rng: Draws, cfg: SpaceConfig, count: int,
                  radius_fraction: float | None = None) -> ElementBatch:
     """Random elements with |eps| <= R sin(pi/8) unless told otherwise.
 
-    That radius bound keeps pairwise and triple products away from the
-    chart equator, where single-chart comparisons are made.  One normal
-    draw x (count, 11) gives element k from row k alone: eps = R f x[:3] /
-    |x[:5]|, uniform in the ball of radius R f (the first three of five
-    normal coordinates over the norm of all five; Voelker, Gosmann &
-    Stewart, 2017), nu = x[5:8], z = x[8] and zeta = (x[9] + i x[10]) /
-    |x[9] + i x[10]|.  So the first k elements do not depend on count and
-    a seed keeps naming the elements its reports were made from.
+    That radius bound keeps pairwise and triple products away from the chart
+    equator, where single-chart comparisons are made.  One draw x =
+    rng.standard_normal((count, 11)), rng a Draws stream or a numpy Generator,
+    gives element k from row k alone: eps = R f x[:3] / |x[:5]|, uniform in the
+    ball of radius R f (the first three of five normal coordinates over the norm
+    of all five; Voelker, Gosmann & Stewart, 2017), nu = x[5:8], z = x[8] and
+    zeta = (x[9] + i x[10]) / |x[9] + i x[10]|.  So the first k elements do not
+    depend on count and a seed keeps naming the elements its reports were made from.
     """
     if radius_fraction is None:
         radius_fraction = math.sin(math.pi / 8.0)
@@ -488,7 +489,7 @@ def sample_batch(rng: np.random.Generator, cfg: SpaceConfig, count: int,
                                    x[:, 5:8], x[:, 8], zeta, cfg)
 
 
-def group_axiom_residuals(rng: np.random.Generator, cfg: SpaceConfig,
+def group_axiom_residuals(rng: Draws, cfg: SpaceConfig,
                           samples: int) -> dict:
     """Worst associativity / inverse / identity residuals over random draws."""
     triples = sample_batch(rng, cfg, 3 * samples)

@@ -1,8 +1,8 @@
 """The verification suite behind both the CLI and the acceptance tests.
 
-Each check returns a CheckResult whose details dictionary is stable
-under a fixed configuration and seed; it passes when every bound it
-states holds (CheckResult.judged, the one pass rule).
+Each check returns a CheckResult whose details dictionary is stable under a
+fixed configuration and seed (the seed names its sampling.Draws streams); it
+passes when every bound it states holds (CheckResult.judged, the one pass rule).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .errors import DomainError
 from .geometry import ChartCoords, rho
 from .quadrature import QuadGrid, build_grid, exact_volume, volume
 from .reports import DEFAULT_TOLERANCES
+from .sampling import Draws
 
 
 @dataclass
@@ -158,7 +159,7 @@ def check_orthonormality(rc: RunConfig, n_max: int = 5) -> CheckResult:
 def check_group_axioms(rc: RunConfig, samples: int = 1000) -> CheckResult:
     """Criterion 4: associativity, inverse and identity residuals."""
     cfg = rc.space()
-    rng = np.random.default_rng([rc.seed, 4])
+    rng = Draws(rc.seed, 4)
     res = sigma_group.group_axiom_residuals(rng, cfg, samples)
     res["tolerance"] = rc.tol("associativity")
     return CheckResult.judged("group_axioms", res, *(
@@ -169,7 +170,7 @@ def check_group_axioms(rc: RunConfig, samples: int = 1000) -> CheckResult:
 def check_lie_algebra(rc: RunConfig, samples: int = 12) -> CheckResult:
     """Criterion 5: the measured bracket table and left-right commutation."""
     cfg = rc.space()
-    rng = np.random.default_rng([rc.seed, 5])
+    rng = Draws(rc.seed, 5)
     table, mixed = sigma_group.bracket_residuals(sigma_group.sample_batch(rng, cfg, samples), cfg)
     worst_table = float(np.max(table, initial=0.0))
     worst_mixed = float(np.max(mixed, initial=0.0))
@@ -228,10 +229,10 @@ def check_conservation(rc: RunConfig, omega_t: float = 20.0,
                        steps: int = 2000) -> CheckResult:
     """Criterion 7: drifts of energy and both invariant triples; endpoint."""
     cfg = rc.space()
-    rng = np.random.default_rng([rc.seed, 7])
-    eps0 = 0.3 * cfg.R * rng.normal(size=3)
+    rng = Draws(rc.seed, 7)
+    eps0 = rng.standard_normal(3)
     eps0 *= 0.3 * cfg.R / np.linalg.norm(eps0)
-    vel0 = rng.normal(size=3)
+    vel0 = rng.standard_normal(3)
     init = classical.PhaseState(ChartCoords(eps0, +1), vel0)
     w = classical.angular_frequency(init, cfg)
     t_end = omega_t / w
@@ -250,10 +251,10 @@ def check_closed_form(rc: RunConfig, sample_times: int = 50) -> CheckResult:
     """Criterion 8: the closed form solves the geodesic equation with the
     metric frequency, and fails with the doubled (energy-form) frequency."""
     cfg = rc.space()
-    rng = np.random.default_rng([rc.seed, 8])
-    eps0 = rng.normal(size=3)
+    rng = Draws(rc.seed, 8)
+    eps0 = rng.standard_normal(3)
     eps0 *= 0.25 * cfg.R / np.linalg.norm(eps0)
-    vel0 = rng.normal(size=3)
+    vel0 = rng.standard_normal(3)
     init = classical.PhaseState(ChartCoords(eps0, +1), vel0)
     w = classical.angular_frequency(init, cfg)
     period = 2.0 * math.pi / w
@@ -289,7 +290,7 @@ def check_closed_form(rc: RunConfig, sample_times: int = 50) -> CheckResult:
 def check_quantization_form(rc: RunConfig, samples: int = 100) -> CheckResult:
     """Criterion 9: contractions of the invariant 1-form and the Noether table."""
     cfg = rc.space()
-    rng = np.random.default_rng([rc.seed, 9])
+    rng = Draws(rc.seed, 9)
     batch = sigma_group.sample_batch(rng, cfg, samples)
     chk = sigma_group.characteristic_many(batch, cfg)
     worst_central = float(np.max(np.abs(chk["theta_on_central"] - 1.0), initial=0.0))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from s3sigma import (ChartBoundaryError, ChartCoords, DomainError, S3Point,
                      SpaceConfig, StencilError, canonical_one_form, dual_field,
@@ -11,6 +12,7 @@ from s3sigma import (ChartBoundaryError, ChartCoords, DomainError, S3Point,
 from s3sigma.classical import christoffel
 from s3sigma.geometry import LEVI_CIVITA, sample_chart_points
 from s3sigma import numdiff
+from s3sigma.sampling import Draws
 
 
 def chart(eps, sign=+1):
@@ -64,6 +66,23 @@ def test_metric_determinant_is_inverse_rho_squared(cfg_odd, rng):
         r = rho(c, cfg_odd)
         det = np.linalg.det(metric(c, cfg_odd))
         assert det == pytest.approx(1.0 / r ** 2, rel=1e-10)
+
+
+@pytest.mark.parametrize("make_rng", [lambda: Draws(204), lambda: np.random.default_rng(204)],
+                         ids=["Draws", "numpy"])
+def test_sample_chart_points_fill_the_ball_uniformly(cfg_odd, make_rng):
+    # (|eps| / f R)^3 and the direction's last component are uniform, the two
+    # hemispheres equally likely (5 standard errors); the upper one alone on request
+    n, f = 3000, 0.9
+    pts = sample_chart_points(make_rng(), cfg_odd, n, f)
+    eps = np.array([c.eps for c in pts])
+    r = np.linalg.norm(eps, axis=1)
+    assert r.max() <= f * cfg_odd.R
+    assert stats.kstest((r / (f * cfg_odd.R)) ** 3, "uniform").pvalue > 1e-3
+    assert stats.kstest(eps[:, 2] / r, "uniform", args=(-1.0, 2.0)).pvalue > 1e-3
+    assert abs(np.mean([c.rho_sign for c in pts])) < 5.0 / math.sqrt(n)
+    upper = sample_chart_points(make_rng(), cfg_odd, 50, f, both_hemispheres=False)
+    assert {c.rho_sign for c in upper} == {1}
 
 
 def test_metric_times_inverse_is_identity(cfg_odd, rng):

@@ -18,6 +18,7 @@ from s3sigma.sigma_group import (ElementBatch, bracket_table_report,
                                  group_axiom_residuals,
                                  measured_right_bracket_coefficients, sample_batch)
 from s3sigma import numdiff, sigma_group
+from s3sigma.sampling import Draws
 
 
 def distance(a, b, cfg):
@@ -245,14 +246,16 @@ def _ks_distance_to_uniform(u):
     return max(np.max(k / len(u) - u), np.max(u - (k - 1) / len(u)))
 
 
-def test_sample_batch_draws_its_stated_distribution(cfg_odd):
+@pytest.mark.parametrize("make_rng", [lambda: Draws(203), lambda: np.random.default_rng(203)],
+                         ids=["Draws", "numpy"])
+def test_sample_batch_draws_its_stated_distribution(cfg_odd, make_rng):
     # The group identities hold at any element, so only this test sees the
     # distribution: eps uniform in the ball of radius R, a uniform phase, and
     # standard normal nu and z.  Bounds for n = 3000: the KS distance 0.04 is
     # above the 0.1 % critical value 1.95 / sqrt(n) = 0.036; the means and
     # variances are held to about 4.5 standard errors.
     n, R = 3000, cfg_odd.R
-    s = sigma_group.sample_batch(np.random.default_rng(203), cfg_odd, n, 1.0)
+    s = sigma_group.sample_batch(make_rng(), cfg_odd, n, 1.0)
     radius = np.linalg.norm(s.eps, axis=1)
     assert np.all(radius <= R)
     assert _ks_distance_to_uniform((radius / R) ** 3) < 0.04
