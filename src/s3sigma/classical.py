@@ -19,7 +19,7 @@ from .config import SpaceConfig
 from .errors import DomainError
 from .geometry import (ChartCoords, LEVI_CIVITA, _check_stencil_margin, _dot, _heights,
                        _metric, _metric_inverse, _off_equator, canonical_one_form, dual_field,
-                       metric, metric_inverse, rho, sample_chart_points)
+                       metric, metric_inverse, rho, sample_chart_arrays)
 from .sampling import Draws
 
 _REST_OMEGA = 1e-300
@@ -414,9 +414,8 @@ def poisson_bracket(f, g, at: SolutionPoint, cfg: SpaceConfig) -> float:
 def _sample_solution_points(rng: Draws, cfg: SpaceConfig,
                             count: int, radius_fraction: float = 0.7) -> np.ndarray:
     """count Darboux rows (eps, pi), (count, 6), upper hemisphere; chart points drawn first."""
-    eps = [c.eps for c in sample_chart_points(rng, cfg, count, radius_fraction,
-                                              both_hemispheres=False)]
-    return np.hstack((np.reshape(eps, (count, 3)), cfg.m * rng.standard_normal((count, 3))))
+    eps, _ = sample_chart_arrays(rng, cfg, count, radius_fraction, both_hemispheres=False)
+    return np.hstack((eps, cfg.m * rng.standard_normal((count, 3))))
 
 
 def _stencil_steps(x, cfg: SpaceConfig) -> np.ndarray:

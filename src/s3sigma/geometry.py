@@ -239,13 +239,22 @@ def killing_residual(c: ChartCoords, field_fn, cfg: SpaceConfig,
     return float(np.max(np.abs(lie)))
 
 
-def sample_chart_points(rng: Draws, cfg: SpaceConfig, count: int,
+def sample_chart_arrays(rng: Draws, cfg: SpaceConfig, count: int,
                         max_radius_fraction: float = 0.9,
-                        both_hemispheres: bool = True) -> list[ChartCoords]:
-    """Uniformly scattered chart points with |eps| <= f R: normal directions (count, 3),
-    and uniforms (count, 2) for the radius R f u^(1/3) and the sign (-1 where u < 0.5)."""
+                        both_hemispheres: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Uniformly scattered chart points with |eps| <= f R, as eps (count, 3) and signs
+    (count,): normal directions (count, 3), and uniforms (count, 2) for the radius
+    R f u^(1/3) and the sign (-1 where u < 0.5)."""
     v = rng.standard_normal((count, 3))
     u = rng.random((count, 2))
     eps = v * (cfg.R * max_radius_fraction * np.cbrt(u[:, 0]) / np.linalg.norm(v, axis=1))[:, None]
     signs = np.where(u[:, 1] < 0.5, -1, 1) if both_hemispheres else np.ones(count, dtype=int)
+    return eps, signs
+
+
+def sample_chart_points(rng: Draws, cfg: SpaceConfig, count: int,
+                        max_radius_fraction: float = 0.9,
+                        both_hemispheres: bool = True) -> list[ChartCoords]:
+    """`sample_chart_arrays` as one `ChartCoords` per point."""
+    eps, signs = sample_chart_arrays(rng, cfg, count, max_radius_fraction, both_hemispheres)
     return [ChartCoords(e, int(s)) for e, s in zip(eps, signs)]

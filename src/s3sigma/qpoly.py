@@ -1,10 +1,11 @@
-"""Sparse complex polynomials in the four embedding coordinates.
+"""Polynomials in the four embedding coordinates, as coefficient vectors.
 
 The eigenbasis functions are restrictions of degree-n polynomials in
 q = (q0, q1, q2, q3) to the unit sphere, so every differential operator
-of the quantum module maps polynomials to polynomials and can be
-applied without truncation error.  Terms are a dict from exponent
-4-tuples to complex coefficients.
+of the quantum module maps polynomials to polynomials without truncation
+error.  A polynomial of degree <= d is a complex vector on `monomials(d)`;
+`MonomialBasis` evaluates a family of them.  `QPoly` (a dict of terms,
+evaluated term by term) is the independent evaluator tests compare against.
 """
 
 from __future__ import annotations
@@ -14,13 +15,11 @@ from itertools import product
 
 import numpy as np
 
-from .quadrature import QuadGrid, monomial_sums
-
-_DROP = 0.0  # coefficients exactly equal to zero are dropped
+from .quadrature import QuadGrid, _read_only, monomial_sums
 
 
 class QPoly:
-    """Immutable-by-convention sparse polynomial in (q0, q1, q2, q3)."""
+    """Sparse polynomial in (q0, q1, q2, q3): exponent 4-tuple -> complex coefficient."""
 
     __slots__ = ("terms",)
 
@@ -29,88 +28,21 @@ class QPoly:
         if terms:
             for expo, coef in terms.items():
                 c = complex(coef)
-                if c != _DROP:
+                if c != 0.0:  # exact zeros are dropped
                     self.terms[tuple(map(int, expo))] = c
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def constant(cls, c) -> "QPoly":
-        return cls({(0, 0, 0, 0): c})
-
-    @classmethod
-    def variable(cls, axis: int) -> "QPoly":
-        expo = [0, 0, 0, 0]
-        expo[axis] = 1
-        return cls({tuple(expo): 1.0})
-
-    # -- algebra ------------------------------------------------------------
-
-    def __add__(self, other: "QPoly") -> "QPoly":
-        out = dict(self.terms)
-        for expo, c in other.terms.items():
-            out[expo] = out.get(expo, 0.0) + c
-        return QPoly(out)
-
-    def __sub__(self, other: "QPoly") -> "QPoly":
-        out = dict(self.terms)
-        for expo, c in other.terms.items():
-            out[expo] = out.get(expo, 0.0) - c
-        return QPoly(out)
-
-    def __neg__(self) -> "QPoly":
-        return QPoly({e: -c for e, c in self.terms.items()})
-
-    def scale(self, s) -> "QPoly":
-        return QPoly({e: s * c for e, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, QPoly):
-            out: dict = {}
-            for ea, ca in self.terms.items():
-                for eb, cb in other.terms.items():
-                    expo = (ea[0] + eb[0], ea[1] + eb[1],
-                            ea[2] + eb[2], ea[3] + eb[3])
-                    out[expo] = out.get(expo, 0.0) + ca * cb
-            return QPoly(out)
-        return self.scale(other)
-
-    __rmul__ = __mul__
-
-    def diff(self, axis: int) -> "QPoly":
-        out = {}
-        for expo, c in self.terms.items():
-            k = expo[axis]
-            if k:
-                e = list(expo)
-                e[axis] = k - 1
-                te = tuple(e)
-                out[te] = out.get(te, 0.0) + k * c
-        return QPoly(out)
-
-    def conj(self) -> "QPoly":
-        return QPoly({e: c.conjugate() for e, c in self.terms.items()})
 
     @property
     def degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 
-    # -- evaluation ---------------------------------------------------------
-
     def __call__(self, q: np.ndarray):
-        """Evaluate at q with shape (..., 4); returns a complex array."""
+        """Evaluate at q with shape (..., 4), term by term; returns a complex array."""
         q = np.asarray(q, dtype=float)
         pows = _power_table(q, self.degree)
         out = np.zeros(q.shape[:-1], dtype=complex)
         for (a, b, c, d), coef in self.terms.items():
             out += coef * (pows[0][a] * pows[1][b] * pows[2][c] * pows[3][d])
         return out
-
-    def __repr__(self) -> str:
-        items = sorted(self.terms.items())[:6]
-        body = " + ".join(f"{c:.3g}*q^{e}" for e, c in items)
-        more = "" if len(self.terms) <= 6 else f" (+{len(self.terms) - 6} terms)"
-        return f"QPoly({body}{more})"
 
 
 def _power_table(q: np.ndarray, max_degree: int) -> list[list[np.ndarray]]:
@@ -143,39 +75,30 @@ def monomials(max_degree: int) -> tuple[tuple[int, int, int, int], ...]:
                  if sum(e) <= max_degree)
 
 
+@lru_cache(maxsize=None)
+def embedding(d: int, top: int) -> np.ndarray:
+    """Positions of `monomials(d)` among `monomials(top)`, top >= d, both sorted: a
+    vector c on the first is `c_top[embedding(d, top)] = c` on the second.  Read-only."""
+    return _read_only(np.flatnonzero(np.sum(monomials(top), axis=1) <= d))
+
+
 class MonomialBasis:
-    """Monomials, and the coefficients of a family of polynomials on them.
+    """A family of polynomials of degree <= max_degree, as coefficient rows.
 
     `coeffs[r, k]` is the coefficient of monomial `monos[k]` in
-    polynomial r, so `coeffs @ rows(q)` (`values(q)`) evaluates the whole
-    family.  Any linear operation on values (a difference stencil, a
-    quadrature sum) can run on the real monomial rows once and meet the
-    real and imaginary coefficient parts at the end.  The monomials are
-    the distinct ones of the family or, given `max_degree`, all of
-    degree <= max_degree.
+    polynomial r, where `monos = monomials(max_degree)`, so
+    `coeffs @ rows(q)` (`values(q)`) evaluates the whole family.  Any
+    linear operation on values (a difference stencil, a quadrature sum)
+    can run on the real monomial rows once and meet the real and
+    imaginary coefficient parts at the end.
     """
 
     __slots__ = ("monos", "coeffs", "max_degree")
 
-    def __init__(self, polys: list[QPoly], max_degree: int | None = None):
-        if max_degree is None:
-            self.monos = sorted({e for p in polys for e in p.terms})
-        else:
-            self.monos = list(monomials(max_degree))
-        index = {e: k for k, e in enumerate(self.monos)}
-        self.max_degree = max((sum(e) for e in self.monos), default=0)
-        self.coeffs = np.zeros((len(polys), len(self.monos)), dtype=complex)
-        for r, p in enumerate(polys):
-            for e, coef in p.terms.items():
-                self.coeffs[r, index[e]] = coef
-
-    @classmethod
-    def from_coeffs(cls, monos: list, coeffs: np.ndarray) -> "MonomialBasis":
-        """The family with coefficient rows `coeffs` on the monomials `monos`."""
-        basis = cls.__new__(cls)
-        basis.monos, basis.coeffs = list(monos), coeffs
-        basis.max_degree = max((sum(e) for e in basis.monos), default=0)
-        return basis
+    def __init__(self, coeffs: np.ndarray, max_degree: int):
+        self.monos = monomials(max_degree)
+        self.coeffs = coeffs
+        self.max_degree = max_degree
 
     def rows(self, q: np.ndarray) -> np.ndarray:
         """Real monomial values at q (..., 4), shape (len(monos), points)."""
@@ -212,19 +135,9 @@ class MonomialBasis:
         return out
 
     def moment_matrix(self, grid: QuadGrid) -> np.ndarray:
-        """G[j, k]: the quadrature sum of m_j m_k on `grid`.
-
-        <f, g> = conj(c_f) @ G @ c_g for any two members f, g of the family.
-        One G over every monomial of degree <= max_degree is built per
-        (degree, grid) from the grid's 1-D rules and shared; a family on
-        fewer monomials reads its own rows and columns of it.  Read-only.
-        """
-        G = _moment_matrix(self.max_degree, grid)
-        if self.monos == list(monomials(self.max_degree)):
-            return G
-        index = {e: k for k, e in enumerate(monomials(self.max_degree))}
-        at = [index[e] for e in self.monos]
-        return G[np.ix_(at, at)]
+        """G[j, k], the quadrature sum of m_j m_k on `grid`, so <f, g> = conj(c_f) @ G @ c_g.
+        One G per (degree, grid), built from the grid's 1-D rules; shared, read-only."""
+        return _moment_matrix(self.max_degree, grid)
 
 
 @lru_cache(maxsize=16)  # keyed by the grid's identity: `build_grid` shares one per orders
@@ -260,9 +173,11 @@ def _sphere_reduction(max_degree: int) -> np.ndarray:
 
 
 def eval_many(polys: list[QPoly], q: np.ndarray) -> np.ndarray:
-    """Evaluate a family of polynomials on shared points.
-
-    Returns an array of shape (len(polys),) + q.shape[:-1].  The shared
-    monomial basis is evaluated once for the whole family.
-    """
-    return MonomialBasis(polys).values(q).reshape((len(polys),) + np.shape(q)[:-1])
+    """Values (len(polys),) + q.shape[:-1] of `QPoly`s at shared points, by `MonomialBasis`."""
+    d = max((p.degree for p in polys), default=0)
+    index = {e: k for k, e in enumerate(monomials(d))}
+    coeffs = np.zeros((len(polys), len(index)), dtype=complex)
+    for r, p in enumerate(polys):
+        for e, coef in p.terms.items():
+            coeffs[r, index[e]] = coef
+    return MonomialBasis(coeffs, d).values(q).reshape((len(polys),) + np.shape(q)[:-1])

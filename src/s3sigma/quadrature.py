@@ -55,15 +55,17 @@ class QuadGrid:
 
     @cached_property
     def q(self) -> np.ndarray:
-        """Unit quaternions (N, 4) of the nodes: (cos chi, sin chi n_hat)."""
-        schi = np.sin(self.chi)
-        sth = np.sin(self.theta)
-        return _read_only(np.stack([
-            np.cos(self.chi),
-            schi * sth * np.cos(self.phi),
-            schi * sth * np.sin(self.phi),
-            schi * np.cos(self.theta),
-        ], axis=-1))
+        """Unit quaternions (N, 4) of the nodes."""
+        return _read_only(sphere_points(self.chi, self.theta, self.phi))
+
+
+def sphere_points(chi, theta, phi) -> np.ndarray:
+    """Unit quaternions (..., 4) at hyperspherical angles: (cos chi, sin chi n_hat),
+    n_hat = (sin theta cos phi, sin theta sin phi, cos theta)."""
+    schi = np.sin(chi)
+    sth = np.sin(theta)
+    return np.stack([np.cos(chi), schi * sth * np.cos(phi), schi * sth * np.sin(phi),
+                     schi * np.cos(theta)], axis=-1)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

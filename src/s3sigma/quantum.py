@@ -2,9 +2,9 @@
 
 Wave functions are complex functions of the embedded point q; the
 eigenbasis functions are sphere restrictions of degree-n polynomials,
-so every operator below has an exact polynomial backend, a sparse
-integer map on monomial coefficients, next to the finite-difference
-one.  Chart-coordinate conventions and layouts follow the geometry module.
+held as coefficient vectors on the monomials of `qpoly`, so every operator
+below has an exact backend, a sparse integer map on those vectors, next to
+the finite-difference one.  Chart conventions follow the geometry module.
 
 Operator dictionary (hbar = 1):
 
@@ -31,9 +31,9 @@ from .config import SpaceConfig
 from .errors import DomainError
 from .geometry import LEVI_CIVITA, quat_mul
 # eval_many stays bound here, an import-by-name site the benchmark tracer's tests check.
-from .qpoly import (MonomialBasis, QPoly, _sphere_reduction, eval_many,  # noqa: F401
+from .qpoly import (MonomialBasis, _sphere_reduction, embedding, eval_many,  # noqa: F401
                     monomials, node_blocks)
-from .quadrature import QuadGrid, build_grid
+from .quadrature import QuadGrid, _read_only, build_grid, sphere_points
 from .sampling import Draws
 from .specfun import gegenbauer_series_coefficients
 
@@ -86,34 +86,47 @@ def spectrum(n_max: int, cfg: SpaceConfig) -> list[dict]:
 # ---------------------------------------------------------------------------
 # basis polynomials
 
+def _lifted(c: np.ndarray, d: int, top: int) -> np.ndarray:
+    """The coefficients c of degree <= d on the monomials of degree <= top."""
+    out = np.zeros(len(monomials(top)), dtype=complex)
+    out[embedding(d, top)] = c
+    return out
+
+
+def _times_q(c: np.ndarray, d: int, axis: int) -> np.ndarray:
+    """q_axis times the coefficients c of degree <= d - 1, on the monomials of degree <= d."""
+    return _operator(d, "X", axis)(_lifted(c, d - 1, d))
+
+
 @lru_cache(maxsize=None)
-def _solid_harmonic(l: int, m: int) -> QPoly:
-    """r^l Y_lm as a polynomial in (q1, q2, q3), orthonormal convention."""
+def _solid_harmonic(l: int, m: int) -> np.ndarray:
+    """r^l Y_lm in (q1, q2, q3), orthonormal convention, on the monomials of degree <= l."""
     if m < 0:
-        p = _solid_harmonic(l, -m)
-        return p.conj().scale((-1.0) ** (-m))
+        return _read_only(_solid_harmonic(l, -m).conj() * (-1.0) ** (-m))
     if l == 0:
-        return QPoly.constant(1.0 / (2.0 * math.sqrt(math.pi)))
-    x = QPoly.variable(1)
-    y = QPoly.variable(2)
-    z = QPoly.variable(3)
+        return _read_only(np.array([1.0 / (2.0 * math.sqrt(math.pi))], dtype=complex))
     if l == m:
         prev = _solid_harmonic(l - 1, l - 1)
         factor = -math.sqrt((2.0 * l + 1.0) / (2.0 * l))
-        return (x + y.scale(1j)) * prev * factor
+        return _read_only((_times_q(prev, l, 1) + 1j * _times_q(prev, l, 2)) * factor)
     if l == m + 1:
-        return z * _solid_harmonic(m, m) * math.sqrt(2.0 * m + 3.0)
+        return _read_only(_times_q(_solid_harmonic(m, m), l, 3) * math.sqrt(2.0 * m + 3.0))
     a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
     b = math.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-    r2 = x * x + y * y + z * z
-    return (z * _solid_harmonic(l - 1, m) - (r2 * _solid_harmonic(l - 2, m)).scale(b)) * a
+    r2 = sum(_times_q(_times_q(_solid_harmonic(l - 2, m), l - 1, k), l, k) for k in (1, 2, 3))
+    return _read_only((_times_q(_solid_harmonic(l - 1, m), l, 3) - r2 * b) * a)
 
 
 @lru_cache(maxsize=None)
-def _basis_polynomial_raw(n: int, l: int, m_z: int) -> QPoly:
-    """Unnormalized basis polynomial: Gegenbauer in q0 times solid harmonic."""
-    coeffs = gegenbauer_series_coefficients(l + 1.0, n - l)
-    return QPoly({(k, 0, 0, 0): c for k, c in enumerate(coeffs)}) * _solid_harmonic(l, m_z)
+def _basis_polynomial_raw(n: int, l: int, m_z: int) -> np.ndarray:
+    """Unnormalized basis polynomial, Gegenbauer in q0 times solid harmonic,
+    on the monomials of degree <= n."""
+    term = _lifted(_solid_harmonic(l, m_z), l, n)
+    out = np.zeros_like(term)
+    for c in gegenbauer_series_coefficients(l + 1.0, n - l):
+        out += c * term
+        term = _operator(n, "X", 0)(term)
+    return _read_only(out)
 
 
 def basis_norm_constant(n: int, l: int, cfg: SpaceConfig) -> float:
@@ -139,10 +152,9 @@ def _level_norm_constants(n: int, R: float) -> tuple[float, ...]:
     """
     grid = build_grid(max(32, 4 * n), max(24, 2 * n + 6), max(48, 4 * n + 8), SpaceConfig(R))
     (chi, w_chi), (theta, w_u), (_, w_phi) = grid.rules
-    c, t = np.meshgrid(chi, theta, indexing="ij")
-    q = np.stack([np.cos(c), np.sin(c) * np.sin(t), np.zeros_like(c), np.sin(c) * np.cos(t)],
-                 axis=-1)
-    vals = MonomialBasis([_basis_polynomial_raw(n, l, 0) for l in range(n + 1)]).values(q).real
+    q = sphere_points(*np.meshgrid(chi, theta, indexing="ij"), 0.0)
+    raws = np.stack([_basis_polynomial_raw(n, l, 0) for l in range(n + 1)])
+    vals = MonomialBasis(raws, n).values(q).real
     w = R ** 3 * np.sum(w_phi) * np.outer(w_chi, w_u).ravel()
     return tuple(1.0 / math.sqrt(s) for s in (vals ** 2) @ w)
 
@@ -163,42 +175,44 @@ def measured_normalization_factor(n: int, l: int, cfg: SpaceConfig) -> float:
 
 @dataclass(eq=False)
 class WaveFunction:
-    """Complex function on the sphere, optionally with a polynomial form.
+    """Complex function on the sphere: a polynomial, or any evaluator.
 
-    evaluator takes embedded points q of shape (..., 4); when a
-    polynomial form is present the analytic operator backends apply.
+    A polynomial wave function holds `coeffs`, a complex vector on
+    `qpoly.monomials(degree)`, and the analytic operator backends apply
+    to it.  Any other holds `evaluator`, which takes embedded points q
+    of shape (..., 4).
     """
 
-    evaluator: object
-    poly: QPoly | None = None
+    evaluator: object = None
+    coeffs: np.ndarray | None = None
+    degree: int = 0
     label: SpectralLabel | None = None
 
-    @classmethod
-    def from_poly(cls, poly: QPoly, label: SpectralLabel | None = None) -> "WaveFunction":
-        return cls(evaluator=poly, poly=poly, label=label)
-
     def eval_q(self, q: np.ndarray) -> np.ndarray:
-        return np.asarray(self.evaluator(q), dtype=complex)
+        if self.coeffs is None:
+            return np.asarray(self.evaluator(q), dtype=complex)
+        q = np.asarray(q, dtype=float)
+        return MonomialBasis(self.coeffs[None], self.degree).values(q).reshape(q.shape[:-1])
 
     def eval_nodes(self, chi, theta, phi) -> np.ndarray:
-        chi = np.asarray(chi, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        phi = np.asarray(phi, dtype=float)
-        schi = np.sin(chi)
-        q = np.stack([np.cos(chi),
-                      schi * np.sin(theta) * np.cos(phi),
-                      schi * np.sin(theta) * np.sin(phi),
-                      schi * np.cos(theta)], axis=-1)
-        return self.eval_q(q)
+        return self.eval_q(sphere_points(chi, theta, phi))
 
 
 def psi(label: SpectralLabel, cfg: SpaceConfig) -> WaveFunction:
     """Orthonormal eigenbasis function for the given quantum numbers."""
     if label.n > MAX_BASIS_LEVEL:
         raise DomainError(f"basis construction capped at n = {MAX_BASIS_LEVEL}")
-    p = _basis_polynomial_raw(label.n, label.l, label.m_z)
     norm = basis_norm_constant(label.n, label.l, cfg)
-    return WaveFunction.from_poly(p.scale(norm), label)
+    return WaveFunction(coeffs=norm * _basis_polynomial_raw(label.n, label.l, label.m_z),
+                        degree=label.n, label=label)
+
+
+def _basis_coeffs(labels: list[SpectralLabel], cfg: SpaceConfig, d: int) -> np.ndarray:
+    """Coefficient rows of psi for every label, on the monomials of degree <= d."""
+    out = np.zeros((len(labels), len(monomials(d))), dtype=complex)
+    for r, lb in enumerate(labels):
+        out[r, embedding(lb.n, d)] = psi(lb, cfg).coeffs
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -240,32 +254,42 @@ def _words(name: str, axis: int = 0) -> list[tuple[float, tuple[int, ...]]]:
     return [(1, (axis,))] if name == "X" else [(1, (0,)), (-1, ())]
 
 
+@lru_cache(maxsize=None)
+def _letters(d: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """X_a (letter a) and D_b (4 + b) on the monomials of degree <= d: (target, factor) per
+    source, and a sink n, factor 0, for what leaves them (exponent -1 or d + 1 reads slot d + 1)."""
+    monos = np.array(monomials(d)).reshape(-1, 4)
+    n = len(monos)
+    lut = np.full((d + 2,) * 4, n)
+    lut[tuple(monos.T)] = np.arange(n)
+    return [(np.append(lut[tuple((monos + step * np.eye(4, dtype=int)[a]).T)], n),
+             np.append(np.ones(n) if step > 0 else monos[:, a], 0.0))
+            for step in (1, -1) for a in range(4)]
+
+
 class _SparseMap:
     """`_words(name, axis)` as a matrix on the monomials of degree <= d, by rows of nonzeros."""
 
     __slots__ = ("rows", "starts", "cols", "vals")
 
     def __init__(self, d: int, name: str, axis: int = 0):
-        monos = np.array(monomials(d)).reshape(-1, 4)
-        n = len(monos)
-        # Letters as (target, factor) with a sink n, factor 0, for what leaves
-        # the monomials: an exponent of -1 reads the never-filled last slot.
-        lut = np.full((d + 2,) * 4, n)
-        lut[tuple(monos.T)] = np.arange(n)
-        letters = [(np.append(lut[tuple((monos + step * np.eye(4, dtype=int)[a]).T)], n),
-                    np.append(np.ones(n) if step > 0 else monos[:, a], 0.0))
-                   for step in (1, -1) for a in range(4)]
-        dense = np.zeros((n + 1, n + 1))
+        letters = _letters(d)
+        n = len(letters[0][0]) - 1
         source = np.arange(n + 1)
+        keys, vals = [], []  # entries as (target (n + 1) + source, value), summed below
         for coef, word in _words(name, axis):
             target, factor = source, np.ones(n + 1)
             for letter in reversed(word):
                 t, f = letters[letter]
                 target, factor = t[target], factor * f[target]
-            np.add.at(dense, (target, source), coef * factor)
-        r, self.cols = np.nonzero(dense[:n, :n])
-        self.vals = dense[r, self.cols]
-        self.rows, self.starts = np.unique(r, return_index=True)
+            keys.append(target * (n + 1) + source)
+            vals.append(coef * factor)
+        key, at = np.unique(np.concatenate(keys), return_inverse=True)
+        r, c = np.divmod(key, n + 1)
+        val = np.bincount(at, np.concatenate(vals))
+        keep = (val != 0.0) & (r < n) & (c < n)
+        self.rows, self.starts = np.unique(r[keep], return_index=True)
+        self.cols, self.vals = c[keep], val[keep]
 
     def __call__(self, c: np.ndarray) -> np.ndarray:
         """Image of the coefficients c, of shape (monomials,) or (monomials, K)."""
@@ -281,11 +305,10 @@ _operator = lru_cache(maxsize=None)(_SparseMap)
 
 def _mapped(wf: WaveFunction, scale, name: str, axis: int = 0,
             raise_degree: int = 0) -> WaveFunction:
-    """scale times operator `name` applied to a polynomial wave function."""
-    d = wf.poly.degree + raise_degree
-    c = scale * _operator(d, name, axis)(MonomialBasis([wf.poly], d).coeffs[0])
-    monos = monomials(d)
-    return WaveFunction.from_poly(QPoly({monos[k]: c[k] for k in np.flatnonzero(c)}))
+    """scale times operator `name` applied to a polynomial wave function, of degree + raise_degree."""
+    d = wf.degree + raise_degree
+    c = _operator(d, name, axis)(_lifted(wf.coeffs, wf.degree, d))
+    return WaveFunction(coeffs=scale * c, degree=d)
 
 
 # ---------------------------------------------------------------------------
@@ -352,9 +375,11 @@ def _fd_laplace_block(fn, q: np.ndarray, R: float) -> np.ndarray:
 # public operators
 
 def _resolve_method(wf: WaveFunction, method: str) -> str:
+    if method not in ("auto", "analytic", "fd"):
+        raise DomainError("method must be 'auto', 'analytic' or 'fd'")
     if method == "auto":
-        return "analytic" if wf.poly is not None else "fd"
-    if method == "analytic" and wf.poly is None:
+        return "analytic" if wf.coeffs is not None else "fd"
+    if method == "analytic" and wf.coeffs is None:
         raise DomainError("analytic backend needs a polynomial wave function")
     return method
 
@@ -386,7 +411,7 @@ def apply_position(which, wf: WaveFunction, cfg: SpaceConfig) -> WaveFunction:
     """Multiplication by eps_i (which = 0, 1, 2) or by rho - 1 (which = 'rho')."""
     if which not in (0, 1, 2, "rho"):
         raise DomainError("which must be 0, 1, 2 or 'rho'")
-    if wf.poly is not None:
+    if wf.coeffs is not None:
         return (_mapped(wf, 1.0, "rho", raise_degree=1) if which == "rho"
                 else _mapped(wf, cfg.R, "X", which + 1, raise_degree=1))
     fn = wf.eval_q
@@ -477,7 +502,7 @@ def gram_matrix(n_max: int, grid: QuadGrid, cfg: SpaceConfig):
     products; their rows and columns of S stay zero.
     """
     labels = labels_up_to(n_max)
-    basis = MonomialBasis([psi(lb, cfg).poly for lb in labels])
+    basis = MonomialBasis(_basis_coeffs(labels, cfg, n_max), n_max)
     c = np.concatenate([basis.coeffs.real, basis.coeffs.imag])
     nonzero = np.flatnonzero(c.any(axis=1))
     c_nz = c[nonzero]
@@ -511,8 +536,10 @@ def eigen_residual_table(n_max: int, grid: QuadGrid, cfg: SpaceConfig,
     finite-difference Laplace-Beltrami route's |H psi - E psi|^2 over
     blocks of `_FD_BLOCK` nodes (the rotation residuals stay analytic).
     """
+    if backend not in ("analytic", "fd"):
+        raise DomainError("backend must be 'analytic' or 'fd'")
     labels = labels_up_to(n_max)
-    basis = MonomialBasis([psi(lb, cfg).poly for lb in labels], n_max)
+    basis = MonomialBasis(_basis_coeffs(labels, cfg, n_max), n_max)
     psi_c = basis.coeffs.T
     G = basis.moment_matrix(grid)
     norm2 = sum(np.sum(p * (G @ p), axis=0) for p in (psi_c.real, psi_c.imag))
@@ -570,7 +597,7 @@ def hermiticity_check(pair_count: int, grid: QuadGrid, cfg: SpaceConfig,
              for pair in rng.integers(0, len(labels), size=(pair_count, 2)).tolist()]
     picked = {lb: k for k, lb in enumerate(dict.fromkeys(lb for pair in pairs for lb in pair))}
     d = n_max + 1
-    basis = MonomialBasis([psi(lb, cfg).poly for lb in picked], d)
+    basis = MonomialBasis(_basis_coeffs(list(picked), cfg, d), d)
     psi_c = basis.coeffs.T
     coeffs = np.stack([psi_c] + [s * _operator(d, name, axis)(psi_c)
                                  for s, name, axis in ops.values()])

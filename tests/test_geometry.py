@@ -10,7 +10,7 @@ from s3sigma import (ChartBoundaryError, ChartCoords, DomainError, S3Point,
                      SpaceConfig, StencilError, canonical_one_form, dual_field,
                      killing_residual, metric, metric_inverse, rho)
 from s3sigma.classical import christoffel
-from s3sigma.geometry import LEVI_CIVITA, sample_chart_points
+from s3sigma.geometry import LEVI_CIVITA, sample_chart_arrays, sample_chart_points
 from s3sigma import numdiff
 from s3sigma.sampling import Draws
 
@@ -83,6 +83,14 @@ def test_sample_chart_points_fill_the_ball_uniformly(cfg_odd, make_rng):
     assert abs(np.mean([c.rho_sign for c in pts])) < 5.0 / math.sqrt(n)
     upper = sample_chart_points(make_rng(), cfg_odd, 50, f, both_hemispheres=False)
     assert {c.rho_sign for c in upper} == {1}
+
+
+def test_chart_point_arrays_are_the_chart_coords_rows(cfg_odd):
+    eps, signs = sample_chart_arrays(Draws(0), cfg_odd, 100)
+    pts = sample_chart_points(Draws(0), cfg_odd, 100)
+    assert eps.shape == (100, 3) and signs.shape == (100,)
+    assert np.array_equal(eps, [c.eps for c in pts])
+    assert signs.tolist() == [c.rho_sign for c in pts]
 
 
 def test_metric_times_inverse_is_identity(cfg_odd, rng):

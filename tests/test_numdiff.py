@@ -98,7 +98,7 @@ def test_fd_laplacian_pass_memory_is_bounded():
     # criterion 2's FD pass: 126 monomial rows on the (16, 12, 16) grid
     cfg = SpaceConfig(1.0, 1.0)
     grid = build_grid(16, 12, 16, cfg)
-    basis = MonomialBasis([quantum.psi(lb, cfg).poly for lb in quantum.labels_up_to(5)])
+    basis = MonomialBasis(quantum._basis_coeffs(quantum.labels_up_to(5), cfg, 5), 5)
     tracemalloc.start()
     try:
         basis.coeffs @ quantum._fd_laplace_beltrami(basis.rows, grid.q, cfg.R)

@@ -8,7 +8,7 @@ from s3sigma import (DomainError, SpaceConfig, SpectralLabel, apply_hamiltonian,
                      left_action_operator, psi, spectrum)
 from s3sigma.quadrature import build_grid, exact_volume, integrate_values
 from s3sigma.geometry import LEVI_CIVITA
-from s3sigma.qpoly import MonomialBasis, QPoly, eval_many, monomials
+from s3sigma.qpoly import MonomialBasis, eval_many, monomials
 from s3sigma import quantum
 from s3sigma.quantum import (SmoothBump, WaveFunction, basis_norm_constant,
                              energy, gram_matrix, hermiticity_check,
@@ -16,6 +16,8 @@ from s3sigma.quantum import (SmoothBump, WaveFunction, basis_norm_constant,
 from s3sigma import numdiff, suite
 from s3sigma.sigma_group import (element_from_coords, left_fields, right_fields,
                                  sample_batch)
+
+from qpoly_reference import Poly, basis_raw, from_coeffs, to_coeffs, wave_poly
 
 
 @pytest.fixture(scope="module")
@@ -134,7 +136,7 @@ def test_gram_matrix_matches_whole_vector_reference(cfg):
     # apart and splits the weight as sqrt(w) sqrt(w): 2.0-2.2e-15 here.
     grid = build_grid(32, 16, 32, cfg)
     labels, gram = gram_matrix(5, grid, cfg)
-    vals = eval_many([psi(lb, cfg).poly for lb in labels], grid.q)
+    vals = MonomialBasis(quantum._basis_coeffs(labels, cfg, 5), 5).values(grid.q)
     ref = (vals.conj() * grid.weight) @ vals.T
     assert len(labels) == 91
     assert np.max(np.abs(gram - ref)) < 4e-15
@@ -162,6 +164,19 @@ def test_basis_level_cap():
         psi(SpectralLabel(13, 0, 0), CFG)
 
 
+@pytest.mark.parametrize("cfg", [SpaceConfig(1.0, 1.0), SpaceConfig(1.3, 0.7)],
+                         ids=["R1-m1", "R1.3-m0.7"])
+def test_psi_coefficients_equal_the_dict_recurrence_bit_for_bit(cfg):
+    # The solid-harmonic recurrence and the Gegenbauer series on coefficient
+    # vectors do the dict algebra's arithmetic in its order, so every label
+    # the basis builds gets the same bits.
+    for lb in labels_up_to(quantum.MAX_BASIS_LEVEL):
+        wf = psi(lb, cfg)
+        want = basis_raw(lb.n, lb.l, lb.m_z).scale(basis_norm_constant(lb.n, lb.l, cfg))
+        assert wf.degree == lb.n and wf.coeffs.shape == (len(monomials(lb.n)),)
+        assert np.array_equal(wf.coeffs, to_coeffs(want, lb.n)), lb
+
+
 # ---------------------------------------------------------------------------
 # operators, analytic backend
 
@@ -176,10 +191,11 @@ def _level_leakage(n: int, grid, cfg: SpaceConfig) -> float:
     # Worst projection outside level n of the images of the level's basis
     # under every J_a, every nu_a and every velocity quadratic nu_a nu_b,
     # against the basis of the other levels up to n + 2.
-    others = [psi(lb, cfg).poly for lb in labels_up_to(n + 2) if lb.n != n]
-    weighted = eval_many(others, grid.q).conj() * grid.weight
-    level = [psi(lb, cfg).poly for lb in labels_up_to(n) if lb.n == n]
-    psi_c = MonomialBasis(level, n).coeffs.T
+    others = [lb for lb in labels_up_to(n + 2) if lb.n != n]
+    others_c = quantum._basis_coeffs(others, cfg, n + 2)
+    weighted = MonomialBasis(others_c, n + 2).values(grid.q).conj() * grid.weight
+    level = [lb for lb in labels_up_to(n) if lb.n == n]
+    psi_c = quantum._basis_coeffs(level, cfg, n).T
     s = -1j / (cfg.m * cfg.R)  # nu_a = s (R Z_a)
     nu = [s * quantum._operator(n, "right", a)(psi_c) for a in range(3)]
     images = np.stack(nu + [-1j * quantum._operator(n, "J", a)(psi_c) for a in range(3)]
@@ -187,7 +203,7 @@ def _level_leakage(n: int, grid, cfg: SpaceConfig) -> float:
                          for a in range(3) for nu_b in nu])
     worst = 0.0
     for i in range(len(level)):
-        image_vals = MonomialBasis.from_coeffs(monomials(n), images[:, :, i]).values(grid.q)
+        image_vals = MonomialBasis(images[:, :, i], n).values(grid.q)
         worst = max(worst, float(np.max(np.abs(weighted @ image_vals.T))))
     return worst
 
@@ -279,10 +295,10 @@ def test_left_action_on_constants(grid):
 
 
 def _operator_matrix(op, labels, grid, cfg):
+    """<psi_j, op psi_k> on the grid; op maps a basis function to a `Poly`."""
     basis = [psi(lb, cfg) for lb in labels]
-    images = [op(w) for w in basis]
-    vb = eval_many([w.poly for w in basis], grid.q)
-    vi = eval_many([w.poly for w in images], grid.q)
+    vb = eval_many([wave_poly(w) for w in basis], grid.q)
+    vi = eval_many([op(w) for w in basis], grid.q)
     return (vb.conj() * grid.weight) @ vi.T
 
 
@@ -293,10 +309,9 @@ def test_frame_operator_su2_closure(grid):
         mats = []
         for axis in range(3):
             if side == "right":
-                op = lambda w, a=axis: WaveFunction.from_poly(
-                    apply_nu(a, w, CFG).poly.scale(1j * CFG.m))
+                op = lambda w, a=axis: wave_poly(apply_nu(a, w, CFG)).scale(1j * CFG.m)
             else:
-                op = lambda w, a=axis: left_action_operator(a, w, CFG)
+                op = lambda w, a=axis: wave_poly(left_action_operator(a, w, CFG))
             mats.append(_operator_matrix(op, labels, grid, CFG))
         comm = mats[0] @ mats[1] - mats[1] @ mats[0]
         target = mats[2]
@@ -314,23 +329,17 @@ def test_velocity_position_commutator_structure(grid):
         def commutator(w):
             a = apply_nu(i, apply_position(j, w, cfg), cfg)
             b = apply_position(j, apply_nu(i, w, cfg), cfg)
-            return WaveFunction.from_poly(a.poly - b.poly)
+            return wave_poly(a) - wave_poly(b)
 
         def predicted(w):
-            out = None
+            out = Poly()
             if i == j:
-                rho_plus = WaveFunction.from_poly(
-                    apply_position("rho", w, cfg).poly + w.poly)
-                out = WaveFunction.from_poly(rho_plus.poly.scale(-1j / cfg.m))
+                out = (wave_poly(apply_position("rho", w, cfg)) + wave_poly(w)).scale(-1j / cfg.m)
             for k in range(3):
                 s = LEVI_CIVITA[k, i, j]
                 if s:
-                    term = apply_position(k, w, cfg).poly.scale(
+                    out = out + wave_poly(apply_position(k, w, cfg)).scale(
                         1j * s / (cfg.m * cfg.R))
-                    out = WaveFunction.from_poly(
-                        term if out is None else out.poly + term)
-            if out is None:
-                out = WaveFunction.from_poly(w.poly.scale(0.0))
             return out
 
         mc = _operator_matrix(commutator, labels, grid, cfg)
@@ -351,11 +360,12 @@ def test_moment_matrix_inner_products_match_quadrature(grid):
         wfs += [wf, apply_nu(0, wf, CFG), apply_position(2, wf, CFG),
                 apply_position("rho", wf, CFG), apply_J(1, wf, CFG),
                 apply_hamiltonian(wf, CFG)]
-    basis = MonomialBasis([w.poly for w in wfs])
+    d = max(w.degree for w in wfs)
+    basis = MonomialBasis(np.stack([quantum._lifted(w.coeffs, w.degree, d) for w in wfs]), d)
     G = basis.moment_matrix(grid)
     via_g = basis.coeffs.conj() @ G @ basis.coeffs.T
-    direct = np.array([[integrate_values(np.conj(a.eval_q(grid.q)) * b.eval_q(grid.q), grid)
-                        for b in wfs] for a in wfs])
+    vals = [wave_poly(w)(grid.q) for w in wfs]  # term by term, apart from G's monomials
+    direct = np.array([[integrate_values(np.conj(a) * b, grid) for b in vals] for a in vals])
     # relative to the largest inner product, <H psi, H psi> = E_4^2 = 144
     np.testing.assert_allclose(via_g, direct, rtol=0.0,
                                atol=1e-13 * np.max(np.abs(direct)))
@@ -397,7 +407,7 @@ def test_norm_constant_matches_full_grid_qpoly_evaluation(R):
     for n in range(quantum.MAX_BASIS_LEVEL + 1):
         grid = _level_grid(n, R)
         for l in range(n + 1):
-            raw = quantum._basis_polynomial_raw(n, l, 0)
+            raw = from_coeffs(quantum._basis_polynomial_raw(n, l, 0), n)
             ref = 1.0 / math.sqrt(float(np.real(
                 integrate_values(np.abs(raw(grid.q)) ** 2, grid))))
             assert basis_norm_constant(n, l, SpaceConfig(R)) == pytest.approx(ref, rel=1e-13), (n, l)
@@ -410,9 +420,9 @@ def test_norm_raws_take_the_same_values_on_every_phi_slice():
     for n in range(quantum.MAX_BASIS_LEVEL + 1):
         grid = _level_grid(n, 1.0)
         for l in range(n + 1):
-            raw = quantum._basis_polynomial_raw(n, l, 0)
+            raw = from_coeffs(quantum._basis_polynomial_raw(n, l, 0), n)
             vals = raw(grid.q).reshape(grid.orders)
-            scale = QPoly({e: abs(c) for e, c in raw.terms.items()})(np.abs(grid.q)).real
+            scale = Poly({e: abs(c) for e, c in raw.terms.items()})(np.abs(grid.q)).real
             assert np.all(np.abs(vals - vals[..., :1]) <= 4e-15 * scale.reshape(grid.orders)), (n, l)
 
 
@@ -433,13 +443,13 @@ def _reference_residual_table(n_max, grid, cfg, backend):
     """One QPoly call and one quadrature sum per residual and label."""
     labels = labels_up_to(n_max)
     if backend == "fd":
-        basis = MonomialBasis([psi(lb, cfg).poly for lb in labels])
+        basis = MonomialBasis(quantum._basis_coeffs(labels, cfg, n_max), n_max)
         h_fd = (-0.5 / cfg.m) * (
             basis.coeffs @ quantum._fd_laplace_beltrami(basis.rows, grid.q, cfg.R))
     rows = []
     for i, lb in enumerate(labels):
         wf = psi(lb, cfg)
-        vals = wf.poly(grid.q)
+        vals = wave_poly(wf)(grid.q)
         norm2 = float(np.real(integrate_values(np.abs(vals) ** 2, grid)))
 
         def residual(image_vals, eigenvalue):
@@ -449,14 +459,14 @@ def _reference_residual_table(n_max, grid, cfg, backend):
         if backend == "fd":
             hvals = h_fd[i]
         else:
-            hvals = apply_hamiltonian(wf, cfg, "via_nu", "analytic").poly(grid.q)
+            hvals = wave_poly(apply_hamiltonian(wf, cfg, "via_nu", "analytic"))(grid.q)
         rows.append({
             "n": lb.n, "l": lb.l, "m_z": lb.m_z, "energy": energy(lb.n, cfg),
             "norm_residual": abs(norm2 - 1.0),
             "h_residual": residual(hvals, energy(lb.n, cfg)),
-            "j2_residual": residual(apply_J("squared", wf, cfg).poly(grid.q),
+            "j2_residual": residual(wave_poly(apply_J("squared", wf, cfg))(grid.q),
                                     lb.l * (lb.l + 1.0)),
-            "j3_residual": residual(apply_J("third", wf, cfg).poly(grid.q), lb.m_z),
+            "j3_residual": residual(wave_poly(apply_J("third", wf, cfg))(grid.q), lb.m_z),
         })
     return rows
 
@@ -465,7 +475,7 @@ def _complex_residual_table(n_max, grid, cfg, backend):
     """The residual table with complex values per label: each label's psi and
     images as complex rows, their complex differences, then |.|^2 summed."""
     labels = labels_up_to(n_max)
-    basis = MonomialBasis([psi(lb, cfg).poly for lb in labels], n_max)
+    basis = MonomialBasis(quantum._basis_coeffs(labels, cfg, n_max), n_max)
     psi_c = basis.coeffs.T
     images = [psi_c, quantum._operator(n_max, "J2")(psi_c),
               -1j * quantum._operator(n_max, "J", 2)(psi_c)]
@@ -480,9 +490,7 @@ def _complex_residual_table(n_max, grid, cfg, backend):
     images = np.stack(images)
     rows = []
     for i, lb in enumerate(labels):
-        used = np.flatnonzero(np.any(images[:, :, i] != 0.0, axis=0))
-        own = MonomialBasis.from_coeffs([basis.monos[k] for k in used], images[:, used, i])
-        vals, j2vals, j3vals, *h = own.values(grid.q)
+        vals, j2vals, j3vals, *h = MonomialBasis(images[:, :, i], n_max).values(grid.q)
         e_n = energy(lb.n, cfg)
         diffs = np.stack([vals, (h[0] if h else h_fd[i]) - e_n * vals,
                           j2vals - lb.l * (lb.l + 1.0) * vals, j3vals - lb.m_z * vals])
@@ -687,19 +695,20 @@ def _equator_band_q(rng, count):
 
 def test_fd_laplacian_batched_over_functions_equals_single_calls(rng):
     cfg = SpaceConfig(1.3, 0.7)
-    polys = [psi(lb, cfg).poly for lb in labels_up_to(5)[::9]]
+    labels = labels_up_to(5)[::9]
+    fns = [psi(lb, cfg).eval_q for lb in labels]
     # the whole sphere, across a block boundary: the stacked evaluator
     # returns the single calls' values, so the results agree bit for bit
     q = rng.normal(size=(quantum._FD_BLOCK + 100, 4))
     q /= np.linalg.norm(q, axis=1, keepdims=True)
     q = np.concatenate([q, _equator_band_q(rng, 50)])
-    singles = np.array([quantum._fd_laplace_beltrami(p, q, cfg.R) for p in polys])
+    singles = np.array([quantum._fd_laplace_beltrami(f, q, cfg.R) for f in fns])
     stacked = quantum._fd_laplace_beltrami(
-        lambda x: np.stack([p(x) for p in polys]), q, cfg.R)
+        lambda x: np.stack([f(x) for f in fns]), q, cfg.R)
     np.testing.assert_array_equal(stacked, singles)
-    # the monomial rows round differently from the polynomials: compare
-    # them over the same whole-sphere points
-    basis = MonomialBasis(polys)
+    # the rows of degree <= 5 round differently from each function's own:
+    # compare them over the same whole-sphere points
+    basis = MonomialBasis(quantum._basis_coeffs(labels, cfg, 5), 5)
     via_rows = basis.coeffs @ quantum._fd_laplace_beltrami(basis.rows, q, cfg.R)
     np.testing.assert_allclose(via_rows, singles, rtol=0.0, atol=1e-8)
 
@@ -716,7 +725,7 @@ def test_fd_laplacian_holds_on_the_whole_sphere(rng, R, m):
     equator[:, 0] = 0.0
     equator /= np.linalg.norm(equator, axis=1, keepdims=True)
     q = np.concatenate([q, _equator_band_q(rng, 128), equator])
-    basis = MonomialBasis([psi(lb, cfg).poly for lb in labels])
+    basis = MonomialBasis(quantum._basis_coeffs(labels, cfg, 5), 5)
     h_fd = (-0.5 / m) * (basis.coeffs @ quantum._fd_laplace_beltrami(basis.rows, q, R))
     e_psi = np.array([energy(lb.n, cfg) for lb in labels])[:, None] * basis.values(q)
     assert len(labels) == 91
@@ -727,6 +736,28 @@ def test_analytic_method_requires_polynomial():
     blind = WaveFunction(evaluator=lambda q: np.ones(np.asarray(q).shape[:-1]))
     with pytest.raises(DomainError):
         apply_nu(0, blind, CFG, "analytic")
+
+
+@pytest.mark.parametrize("method", ["bogus", "Analytic", "FD"])
+def test_unknown_operator_method_is_rejected(method):
+    wf = psi(SpectralLabel(2, 1, 0), CFG)
+    blind = WaveFunction(evaluator=wf.eval_q)
+    for w in (wf, blind):
+        for apply in (lambda: apply_nu(0, w, CFG, method),
+                      lambda: apply_J(0, w, CFG, method=method),
+                      lambda: apply_J("squared", w, CFG, method=method),
+                      lambda: left_action_operator(0, w, CFG, method),
+                      lambda: apply_hamiltonian(w, CFG, "via_nu", method),
+                      lambda: apply_hamiltonian(w, CFG, "laplace_beltrami", method)):
+            with pytest.raises(DomainError, match="method must be"):
+                apply()
+
+
+@pytest.mark.parametrize("backend", ["bogus", "Analytic", "via_nu"])
+def test_unknown_residual_table_backend_is_rejected(backend):
+    grid = build_grid(16, 12, 16, CFG)
+    with pytest.raises(DomainError, match="backend must be"):
+        quantum.eigen_residual_table(2, grid, CFG, backend=backend)
 
 
 # ---------------------------------------------------------------------------
@@ -818,57 +849,57 @@ def test_polarized_lift_reduces_to_operator_dictionary(rng):
 # operator maps on monomial coefficients
 
 def _ref_frame(p, axis, R, side):
-    """Frame derivative in the QPoly algebra: the reference for the maps."""
-    out = QPoly.variable(0) * p.diff(axis + 1)
+    """Frame derivative in the dict algebra: the reference for the maps."""
+    out = Poly.variable(0) * p.diff(axis + 1)
     for k in range(3):
         for j in range(3):
             s = LEVI_CIVITA[k, axis, j]
             if s:
-                out = out + (QPoly.variable(j + 1) * p.diff(k + 1)).scale(side * s)
-    out = out - QPoly.variable(axis + 1) * p.diff(0)
+                out = out + (Poly.variable(j + 1) * p.diff(k + 1)).scale(side * s)
+    out = out - Poly.variable(axis + 1) * p.diff(0)
     return out.scale(1.0 / R)
 
 
 def _ref_j_raw(p, axis):
-    out = QPoly()
+    out = Poly()
     for j in range(3):
         for k in range(3):
             s = LEVI_CIVITA[axis, j, k]
             if s:
-                out = out + (QPoly.variable(j + 1) * p.diff(k + 1)).scale(s)
+                out = out + (Poly.variable(j + 1) * p.diff(k + 1)).scale(s)
     return out
 
 
 def _ref_laplace_beltrami(p, R):
     f0 = p.diff(0)
     fk = [p.diff(k) for k in (1, 2, 3)]
-    out = QPoly()
+    out = Poly()
     for k in range(3):
-        out = out - (QPoly.variable(k + 1) * fk[k]).scale(3.0)
-    out = out - (QPoly.variable(0) * f0).scale(3.0)
+        out = out - (Poly.variable(k + 1) * fk[k]).scale(3.0)
+    out = out - (Poly.variable(0) * f0).scale(3.0)
     for k in range(3):
         for m_ in range(3):
             fkm = fk[k].diff(m_ + 1)
             if k == m_:
                 out = out + fkm
-            out = out - QPoly.variable(k + 1) * QPoly.variable(m_ + 1) * fkm
+            out = out - Poly.variable(k + 1) * Poly.variable(m_ + 1) * fkm
     for k in range(3):
-        out = out - (QPoly.variable(0) * QPoly.variable(k + 1) * f0.diff(k + 1)).scale(2.0)
-    s2 = (QPoly.variable(1) * QPoly.variable(1) + QPoly.variable(2) * QPoly.variable(2)
-          + QPoly.variable(3) * QPoly.variable(3))
+        out = out - (Poly.variable(0) * Poly.variable(k + 1) * f0.diff(k + 1)).scale(2.0)
+    s2 = (Poly.variable(1) * Poly.variable(1) + Poly.variable(2) * Poly.variable(2)
+          + Poly.variable(3) * Poly.variable(3))
     out = out + s2 * f0.diff(0)
     return out.scale(1.0 / (R * R))
 
 
 def _ref_images(p, cfg):
-    """name -> image polynomial, composed in the QPoly algebra."""
+    """name -> image polynomial, composed in the dict algebra."""
     R, m = cfg.R, cfg.m
     nu = [_ref_frame(p, a, R, +1).scale(-1j / m) for a in range(3)]
     out = {f"nu_{a}": nu[a] for a in range(3)}
     out.update({f"left_{a}": _ref_frame(p, a, R, -1) for a in range(3)})
     out.update({f"J_{a}": _ref_j_raw(p, a).scale(-1j) for a in range(3)})
-    j2 = QPoly()
-    h = QPoly()
+    j2 = Poly()
+    h = Poly()
     for a in range(3):
         j2 = j2 + _ref_j_raw(_ref_j_raw(p, a), a)
         h = h + _ref_frame(nu[a], a, R, +1).scale(-1j / m)
@@ -885,7 +916,7 @@ def _mapped_images(wf, cfg):
     out["J2"] = apply_J("squared", wf, cfg)
     out["H_via_nu"] = apply_hamiltonian(wf, cfg, "via_nu", "analytic")
     out["H_lb"] = apply_hamiltonian(wf, cfg, "laplace_beltrami", "analytic")
-    return {name: img.poly for name, img in out.items()}
+    return {name: wave_poly(img) for name, img in out.items()}
 
 
 @pytest.mark.parametrize("cfg", [SpaceConfig(1.0, 1.0), SpaceConfig(1.3, 0.7)],
@@ -894,7 +925,7 @@ def test_operator_maps_match_qpoly_algebra(cfg):
     # every label with n <= 6; relative to the largest reference coefficient
     for lb in labels_up_to(6):
         wf = psi(lb, cfg)
-        ref = _ref_images(wf.poly, cfg)
+        ref = _ref_images(wave_poly(wf), cfg)
         for name, got in _mapped_images(wf, cfg).items():
             want = ref[name]
             keys = set(want.terms) | set(got.terms)
@@ -907,12 +938,12 @@ def test_operator_maps_match_qpoly_algebra(cfg):
 def test_operator_map_positions_are_exact():
     cfg = SpaceConfig(1.3, 0.7)
     for lb in labels_up_to(4):
-        p = psi(lb, cfg).poly
+        p = wave_poly(psi(lb, cfg))
         for axis in range(3):
-            want = (QPoly.variable(axis + 1) * p).scale(cfg.R)
-            assert apply_position(axis, psi(lb, cfg), cfg).poly.terms == want.terms
-        want = p * QPoly({(1, 0, 0, 0): 1.0, (0, 0, 0, 0): -1.0})
-        got = apply_position("rho", psi(lb, cfg), cfg).poly
+            want = (Poly.variable(axis + 1) * p).scale(cfg.R)
+            assert wave_poly(apply_position(axis, psi(lb, cfg), cfg)).terms == want.terms
+        want = p * Poly({(1, 0, 0, 0): 1.0, (0, 0, 0, 0): -1.0})
+        got = wave_poly(apply_position("rho", psi(lb, cfg), cfg))
         assert set(got.terms) == set(want.terms)
         for e, c in want.terms.items():
             assert got.terms[e] == c

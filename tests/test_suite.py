@@ -60,6 +60,26 @@ def test_only_the_judging_constructor_builds_check_results():
     assert builders == {"suite.judged"}, builders
 
 
+def test_a_suite_run_builds_no_qpoly(monkeypatch):
+    # wave functions are coefficient vectors: the dict polynomial is only
+    # the evaluator tests compare against.  A radius and mass no other test
+    # uses, so that no cached basis hides a build.
+    from s3sigma.qpoly import QPoly
+
+    built = []
+    init = QPoly.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(QPoly, "__init__", counted)
+    results = suite.run_all(suite.RunConfig(R=0.77, m=1.2, seed=3))
+    assert len(results) == len(suite.ALL_CHECKS)
+    assert all(res.passed for _, res in results)
+    assert not built
+
+
 def _detail(details: dict, metric: str):
     """The report entry a metric names: a dotted path, negated by a leading '-'."""
     value = details
