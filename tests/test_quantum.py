@@ -6,7 +6,7 @@ import pytest
 from s3sigma import (DomainError, SpaceConfig, SpectralLabel, apply_hamiltonian,
                      apply_J, apply_nu, apply_position, contraction_study,
                      left_action_operator, psi, spectrum)
-from s3sigma.quadrature import build_grid, exact_volume, integrate_values
+from s3sigma.quadrature import axis_rules, build_grid, exact_volume, integrate_values
 from s3sigma.geometry import LEVI_CIVITA
 from s3sigma.qpoly import MonomialBasis, eval_many, monomials
 from s3sigma import quantum
@@ -374,10 +374,10 @@ def test_moment_matrix_inner_products_match_quadrature(grid):
 def test_norm_constant_cached_per_radius_only(monkeypatch):
     first = basis_norm_constant(3, 1, SpaceConfig(1.1, 1.0))
 
-    def no_grid(*args):
-        raise AssertionError("a cache hit built a quadrature grid")
+    def no_rules(*args):
+        raise AssertionError("a cache hit built quadrature rules")
 
-    monkeypatch.setattr(quantum, "build_grid", no_grid)
+    monkeypatch.setattr(quantum, "axis_rules", no_rules)
     assert basis_norm_constant(3, 1, SpaceConfig(1.1, 2.5)) == first
 
 
@@ -385,13 +385,13 @@ def test_first_norm_miss_fills_its_whole_level(monkeypatch):
     cfg = SpaceConfig(0.83, 1.0)  # a radius no other test fills
     first = basis_norm_constant(4, 2, cfg)
 
-    def no_grid(*args):
-        raise AssertionError("a cache hit built a quadrature grid")
+    def no_rules(*args):
+        raise AssertionError("a cache hit built quadrature rules")
 
-    monkeypatch.setattr(quantum, "build_grid", no_grid)
+    monkeypatch.setattr(quantum, "axis_rules", no_rules)
     level = [basis_norm_constant(4, l, cfg) for l in range(5)]
     assert level[2] == first and all(c > 0.0 for c in level)
-    with pytest.raises(AssertionError, match="built a quadrature grid"):
+    with pytest.raises(AssertionError, match="built quadrature rules"):
         basis_norm_constant(5, 0, cfg)  # the next level is its own fill
 
 
@@ -430,13 +430,15 @@ def test_norm_constants_never_form_the_grid_points(monkeypatch):
     built = []
 
     def recording(*args):
-        built.append(build_grid(*args))
+        built.append(axis_rules(*args))
         return built[-1]
 
-    monkeypatch.setattr(quantum, "build_grid", recording)
-    # uncached, at a radius no other test uses: a fresh grid
+    monkeypatch.setattr(quantum, "axis_rules", recording)
+    grids = build_grid.cache_info()
+    # uncached, at a radius no other test uses: a fresh fill
     quantum._level_norm_constants.__wrapped__(7, 0.61)
-    assert len(built) == 1 and "q" not in built[0].__dict__
+    # one set of 1-D rules, and no grid built or looked up
+    assert len(built) == 1 and build_grid.cache_info() == grids
 
 
 def _reference_residual_table(n_max, grid, cfg, backend):
@@ -773,6 +775,11 @@ def test_bump_derivatives_match_finite_differences(rng):
         np.testing.assert_allclose(f.hess(pts), hess_fd, atol=1e-9)
 
 
+def test_bump_rejects_unknown_poly_kind():
+    with pytest.raises(DomainError, match="unknown poly_kind 'bogus'"):
+        SmoothBump(1.0, "bogus")
+
+
 def test_bump_vanishes_outside_support():
     f = SmoothBump(1.0, "linear")
     pts = np.array([[1.5, 0.0, 0.0], [0.9, 0.9, 0.9]])
@@ -787,6 +794,63 @@ def test_contraction_deviations_and_slopes():
     assert rep["nu"]["slope"] == pytest.approx(-1.0, abs=0.3)
     assert rep["hamiltonian"]["slope"] <= -0.7
     assert rep["position"]["identically_zero"]
+
+
+def _reference_contraction(radii, m, r0=1.0):
+    """Criterion 10 with the chart formulas written out, one function and axis
+    at a time: Z[i, k] d_k f = rho d_i f + eps_{kij} eps_j d_k f / R, and the
+    curved minus the flat Laplacian, -(3 eps . grad f + eps . Hess f . eps) / R^2."""
+    axis = np.linspace(-0.9 * r0, 0.9 * r0, 5)
+    xs, ys, zs = np.meshgrid(axis, axis, axis, indexing="ij")
+    box = np.stack([xs.ravel(), ys.ravel(), zs.ravel()], axis=-1)
+    d_nu, d_h = [], []
+    for R in radii:
+        rho_box = np.sqrt(1.0 - np.sum(box * box, axis=-1) / (R * R))
+        worst_nu = worst_h = 0.0
+        for kind in ("one", "linear", "cross"):
+            f = SmoothBump(r0, kind)
+            grad, hess = f.grad(box), f.hess(box)
+            for i in range(3):
+                zdot = rho_box * grad[:, i]
+                for k in range(3):
+                    zdot = zdot + (LEVI_CIVITA[k, i] @ box.T) * grad[:, k] / R
+                worst_nu = max(worst_nu, float(np.max(np.abs(zdot - grad[:, i]) / m)))
+            eps_dot_grad = np.sum(box * grad, axis=-1)
+            quad = np.einsum("pk,pkm,pm->p", box, hess, box)
+            dev_h = np.abs(-(1.0 / (2.0 * m)) * (
+                -(3.0 / (R * R)) * eps_dot_grad - quad / (R * R)))
+            worst_h = max(worst_h, float(np.max(dev_h)))
+        d_nu.append(worst_nu)
+        d_h.append(worst_h)
+    return d_nu, d_h
+
+
+@pytest.mark.parametrize("m", [0.7, 1.0, 2.5])
+def test_contraction_matches_the_chart_formulas(m):
+    radii = [10.0, 30.0, 100.0, 300.0, 1000.0]
+    rep = contraction_study(radii, cfg=SpaceConfig(1.0, m))
+    ref_nu, ref_h = _reference_contraction(radii, m)
+    assert rep["nu"]["deviation"] == ref_nu  # bit for bit
+    np.testing.assert_allclose(rep["hamiltonian"]["deviation"], ref_h, rtol=1e-9, atol=0.0)
+
+
+def _failed_c10_bounds():
+    res = suite.check_contraction(suite.RunConfig())
+    return {b.metric for b in res.bounds if not b.holds()}
+
+
+def test_contraction_fails_with_a_wrong_frame_height(monkeypatch):
+    dual = quantum._dual
+    # the height term of the frame Z[i, k] = rho delta_ik + ... times 1.01
+    monkeypatch.setattr(quantum, "_dual", lambda eps, r, s, R: dual(eps, 1.01 * r, s, R))
+    assert {"nu.strictly_decreasing", "-nu.slope"} <= _failed_c10_bounds()
+
+
+def test_contraction_fails_with_a_wrong_inverse_metric(monkeypatch):
+    inverse = quantum._metric_inverse
+    monkeypatch.setattr(quantum, "_metric_inverse",
+                        lambda eps, cfg: inverse(eps, cfg) + 1e-4 * np.eye(3))
+    assert "hamiltonian.strictly_decreasing" in _failed_c10_bounds()
 
 
 def test_contraction_rejects_wide_support():
