@@ -90,10 +90,12 @@ def stencil_second(F, x: np.ndarray, h) -> np.ndarray:
                            (np.asarray(_D1_OFFSETS)[:, None, None] * np.eye(n)).reshape(-1, n)])
     values = np.asarray(F(x + unit[:, None, :] * hs[:, None]))
     along = values[..., 1:, :].reshape(values.shape[:-2] + (4, n, npts))
-    acc = _D2_CENTRE * values[..., :1, :]
+    acc = np.broadcast_to(_D2_CENTRE * values[..., :1, :], along.shape[:-3] + (n, npts)).copy()
+    tmp = np.empty_like(acc)
     for k, w in enumerate(_D2_AT_D1):
-        acc = acc + w * along[..., k, :, :]
-    return acc / (12.0 * hs * hs)
+        acc += np.multiply(w, along[..., k, :, :], out=tmp)
+    acc /= 12.0 * hs * hs
+    return acc
 
 
 def complex_step_gradient(F, x: np.ndarray) -> np.ndarray:

@@ -76,10 +76,16 @@ def monomials(max_degree: int) -> tuple[tuple[int, int, int, int], ...]:
 
 
 @lru_cache(maxsize=None)
+def exponents(max_degree: int) -> np.ndarray:
+    """`monomials(max_degree)` as one read-only integer array (len, 4)."""
+    return _read_only(np.array(monomials(max_degree), dtype=np.int64).reshape(-1, 4))
+
+
+@lru_cache(maxsize=None)
 def embedding(d: int, top: int) -> np.ndarray:
     """Positions of `monomials(d)` among `monomials(top)`, top >= d, both sorted: a
     vector c on the first is `c_top[embedding(d, top)] = c` on the second.  Read-only."""
-    return _read_only(np.flatnonzero(np.sum(monomials(top), axis=1) <= d))
+    return _read_only(np.flatnonzero(np.sum(exponents(top), axis=1) <= d))
 
 
 class MonomialBasis:
@@ -143,7 +149,7 @@ class MonomialBasis:
 @lru_cache(maxsize=16)  # keyed by the grid's identity: `build_grid` shares one per orders
 def _moment_matrix(max_degree: int, grid: QuadGrid) -> np.ndarray:
     """The moment matrix of every monomial of degree <= max_degree on `grid`."""
-    monos = np.array(monomials(max_degree))
+    monos = exponents(max_degree)
     G = monomial_sums(grid, monos[:, None, :] + monos[None, :, :])
     G.flags.writeable = False
     return G

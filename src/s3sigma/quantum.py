@@ -33,7 +33,7 @@ from .classical import _christoffel_many
 from .geometry import LEVI_CIVITA, _dual, _heights, _metric_inverse, quat_mul
 # eval_many stays bound here, an import-by-name site the benchmark tracer's tests check.
 from .qpoly import (MonomialBasis, _sphere_reduction, embedding, eval_many,  # noqa: F401
-                    monomials, node_blocks)
+                    exponents, monomials, node_blocks)
 from .quadrature import QuadGrid, _read_only, axis_rules, sphere_points
 from .sampling import Draws
 from .specfun import gegenbauer_series_coefficients
@@ -259,7 +259,7 @@ def _words(name: str, axis: int = 0) -> list[tuple[float, tuple[int, ...]]]:
 def _letters(d: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """X_a (letter a) and D_b (4 + b) on the monomials of degree <= d: (target, factor) per
     source, and a sink n, factor 0, for what leaves them (exponent -1 or d + 1 reads slot d + 1)."""
-    monos = np.array(monomials(d)).reshape(-1, 4)
+    monos = exponents(d)
     n = len(monos)
     lut = np.full((d + 2,) * 4, n)
     lut[tuple(monos.T)] = np.arange(n)
@@ -490,32 +490,39 @@ def _wf_sum(wfs: list[WaveFunction], s) -> WaveFunction:
 # ---------------------------------------------------------------------------
 # quadrature-level diagnostics
 
+def _distinct_rows(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of c that differ up to sign: (distinct, which, sign) with
+    c == sign[:, None] * distinct[which].  Each row is first turned so that its
+    first nonzero entry is positive; zero rows become the one zero row."""
+    lead = c[np.arange(len(c)), np.argmax(c != 0, axis=1)]
+    sign = np.where(lead < 0, -1.0, 1.0)
+    distinct, which = np.unique(sign[:, None] * c + 0.0, axis=0, return_inverse=True)
+    return distinct, which.reshape(-1), sign
+
+
 def gram_matrix(n_max: int, grid: QuadGrid, cfg: SpaceConfig):
     """Labels and Gram matrix of the orthonormal basis through n_max.
 
     The quadrature sum of conj(psi_j) psi_k on node values, not through
     `moment_matrix`: the oracle independent of G.  All in real arithmetic:
-    with c = [Re C; Im C], each node block scales its monomial rows by
-    sqrt(weight), forms V = c @ rows and adds V V^T (one symmetric product)
-    into S = [[S_rr, S_ri], [S_ri^T, S_ii]].  Gram = (S_rr + S_ii) +
-    i (S_ri - S_ri^T) is Hermitian exactly.  Rows of c that are zero (the
-    imaginary parts of the real m_z = 0 functions) are left out of both
-    products; their rows and columns of S stay zero.
+    c = [Re C; Im C] holds its rows only once up to sign (`_distinct_rows`);
+    each node block scales its monomial rows by sqrt(weight), forms
+    V = c_u @ rows on the distinct rows c_u and adds V V^T (one symmetric
+    product) into S_u.  S = outer(sign, sign) * S_u[which][:, which] is
+    [[S_rr, S_ri], [S_ri^T, S_ii]], and Gram = (S_rr + S_ii) +
+    i (S_ri - S_ri^T) is Hermitian exactly.
     """
     labels = labels_up_to(n_max)
     basis = MonomialBasis(_basis_coeffs(labels, cfg, n_max), n_max)
-    c = np.concatenate([basis.coeffs.real, basis.coeffs.imag])
-    nonzero = np.flatnonzero(c.any(axis=1))
-    c_nz = c[nonzero]
-    S_nz = np.zeros((len(c_nz), len(c_nz)))
+    c_u, which, sign = _distinct_rows(np.concatenate([basis.coeffs.real, basis.coeffs.imag]))
+    S_u = np.zeros((len(c_u), len(c_u)))
     for b in node_blocks(len(grid)):
         rows = basis.rows(grid.q[b])
         rows *= np.sqrt(grid.weight[b])
-        V = c_nz @ rows
-        S_nz += V @ V.T
+        V = c_u @ rows
+        S_u += V @ V.T
         del rows, V  # freed before the next block's rows are formed
-    S = np.zeros((len(c), len(c)))
-    S[np.ix_(nonzero, nonzero)] = S_nz
+    S = np.outer(sign, sign) * S_u[np.ix_(which, which)]
     n = len(labels)
     s_ri = S[:n, n:]
     return labels, (S[:n, :n] + S[n:, n:]) + 1j * (s_ri - s_ri.T)
@@ -533,9 +540,9 @@ def eigen_residual_table(n_max: int, grid: QuadGrid, cfg: SpaceConfig,
     has r's values on the sphere and coefficients of r's own size, on the
     reduced monomials, where G = L L^T is positive definite: the squared
     residual is ||L^T Red(r)||^2.  backend 'analytic' takes H psi from the
-    polynomial operator; 'fd' takes E psi at the nodes and sums the
-    finite-difference Laplace-Beltrami route's |H psi - E psi|^2 over
-    blocks of `_FD_BLOCK` nodes (the rotation residuals stay analytic).
+    polynomial operator; 'fd' sums the finite-difference Laplace-Beltrami
+    route's |H psi - E psi|^2 over blocks of `_FD_BLOCK` nodes, with E psi
+    formed per block (the rotation residuals stay analytic).
     """
     if backend not in ("analytic", "fd"):
         raise DomainError("backend must be 'analytic' or 'fd'")
@@ -560,15 +567,16 @@ def eigen_residual_table(n_max: int, grid: QuadGrid, cfg: SpaceConfig,
     else:
         j22, j32 = squares
         h2 = np.zeros(len(labels))
-        e_psi = basis.values(grid.q)
-        e_psi *= e_n[:, None]
         for s in range(0, len(grid), _FD_BLOCK):
             block = slice(s, s + _FD_BLOCK)
             lap = _fd_laplace_block(basis.rows, grid.q[block], cfg.R)
-            for coeffs, ev in ((basis.coeffs.real, e_psi.real), (basis.coeffs.imag, e_psi.imag)):
+            rows = basis.rows(grid.q[block])
+            for coeffs in (basis.coeffs.real, basis.coeffs.imag):
                 d = coeffs @ lap
                 d *= -0.5 / cfg.m
-                d -= ev[:, block]
+                ev = coeffs @ rows
+                ev *= e_n[:, None]
+                d -= ev
                 h2 += np.square(d, out=d) @ grid.weight[block]
     return [{"n": lb.n, "l": lb.l, "m_z": lb.m_z, "energy": float(e_n[i]),
              "norm_residual": abs(float(norm2[i]) - 1.0),

@@ -133,7 +133,7 @@ def test_orthonormality(grid):
 def test_gram_matrix_matches_whole_vector_reference(cfg):
     # The real node-block sum against all complex values of the basis at
     # once, in one weighted product.  The real route sums Re Re and Im Im
-    # apart and splits the weight as sqrt(w) sqrt(w): 2.0-2.2e-15 here.
+    # apart and splits the weight as sqrt(w) sqrt(w): 2.7-2.9e-15 here.
     grid = build_grid(32, 16, 32, cfg)
     labels, gram = gram_matrix(5, grid, cfg)
     vals = MonomialBasis(quantum._basis_coeffs(labels, cfg, 5), 5).values(grid.q)
@@ -146,7 +146,7 @@ def test_gram_matrix_matches_whole_vector_reference(cfg):
 @pytest.mark.parametrize("R, m", [(1.0, 1.0), (1.3, 0.7), (0.5, 0.5), (3.0, 1.0)])
 def test_orthonormality_check_reads_node_values(R, m, monkeypatch):
     # Criterion 3 is the oracle independent of the moment matrix G, so it
-    # must run with G out of reach.  Node values give 1.42-1.49e-14 here.
+    # must run with G out of reach.  Node values give 2.0-2.3e-15 here.
     # The deviation alone does not tell the routes apart (conj(C) G C^T
     # reads 1.44-1.91e-14); the whole-vector reference test above does.
     def unreachable(*args, **kwargs):
@@ -156,7 +156,32 @@ def test_orthonormality_check_reads_node_values(R, m, monkeypatch):
     monkeypatch.setattr("s3sigma.qpoly._moment_matrix", unreachable)
     res = suite.check_orthonormality(suite.RunConfig(R=R, m=m, seed=0))
     assert res.passed
-    assert res.details["max_gram_deviation"] < 3e-14
+    assert res.details["max_gram_deviation"] < 5e-15
+
+
+def test_distinct_rows_rebuild_the_family_bit_for_bit():
+    # a negated duplicate, an exact duplicate and two zero rows; every
+    # nonzero entry comes back with its bits (a zero's sign may not)
+    a, b = np.array([0.0, 2.5, -1.0]), np.array([-3.0, 0.0, 4.0])
+    c = np.stack([a, -a, b, np.zeros(3), b, -b, a, np.array([-0.0, 0.0, -0.0])])
+    distinct, which, sign = quantum._distinct_rows(c)
+    assert len(distinct) == 3
+    assert np.array_equal(sign[:, None] * distinct[which], c)
+    assert np.array_equal(which[[0, 1, 6]], [which[0]] * 3)
+    assert which[2] == which[4] == which[5] and which[3] == which[7]
+    assert np.array_equal(sign, [1, -1, -1, 1, -1, 1, 1, 1])
+
+
+def test_gram_rows_are_the_basis_rows_up_to_sign():
+    # 91 real and 91 imaginary coefficient rows at n_max = 5: the imaginary
+    # parts of the 21 real m_z = 0 functions are zero, and the rest pair up
+    # (m_z, -m_z) up to sign, so 91 rows and the zero row are distinct.
+    labels = labels_up_to(5)
+    C = quantum._basis_coeffs(labels, CFG, 5)
+    c = np.concatenate([C.real, C.imag])
+    distinct, which, sign = quantum._distinct_rows(c)
+    assert len(distinct) == 92 and not distinct.any(axis=1).all()
+    assert np.array_equal(sign[:, None] * distinct[which], c)
 
 
 def test_basis_level_cap():
@@ -601,8 +626,9 @@ def test_residual_table_memory_is_per_label():
 
 def test_gram_matrix_memory_is_per_node_block():
     # The real and imaginary values of all 91 functions on the 16,384
-    # nodes are 23.9 MB; one 2,048-node block of them (3.0 MB) and its
-    # monomial rows (2.1 MB) are held at once: 6.0 MB traced.
+    # nodes are 23.9 MB; one 2,048-node block of the 92 rows distinct up
+    # to sign (1.5 MB) and its monomial rows (2.1 MB) are held at once:
+    # 4.0 MB traced.
     import tracemalloc
 
     cfg = SpaceConfig(1.0, 1.0)
@@ -615,7 +641,7 @@ def test_gram_matrix_memory_is_per_node_block():
     finally:
         tracemalloc.stop()
     assert len(labels) == 91
-    assert peak < 8e6, f"peak traced memory {peak / 1e6:.1f} MB"
+    assert peak < 6e6, f"peak traced memory {peak / 1e6:.1f} MB"
 
 
 # ---------------------------------------------------------------------------

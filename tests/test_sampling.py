@@ -75,3 +75,19 @@ def test_the_package_never_imports_numpy_random(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
+
+
+def test_the_package_never_imports_numpy_polynomial(tmp_path):
+    # every check at its defaults, then the whole command-line run, take
+    # their Gauss-Legendre rules from `quadrature._gauss_legendre`: importing
+    # numpy.polynomial costs 3-5 ms
+    script = (
+        "import sys\n"
+        "from s3sigma import cli, suite\n"
+        "for _, check in suite.ALL_CHECKS:\n"
+        "    check(suite.RunConfig())\n"
+        "cli.main(['all', '--seed', '0', '--out', sys.argv[1]])\n"
+        "sys.exit('numpy.polynomial' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "all")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
