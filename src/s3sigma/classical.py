@@ -175,35 +175,30 @@ def angular_frequency(s: PhaseState, cfg: SpaceConfig) -> float:
     return math.sqrt(max(0.0, float(s.vel @ g @ s.vel))) / cfg.R
 
 
-def geodesic_exact(init: PhaseState, t: float, cfg: SpaceConfig) -> PhaseState:
-    """Closed-form geodesic flow, valid globally via the embedded great circle.
+def _great_circle(x0: np.ndarray, v0: np.ndarray, w: float, t) -> tuple[np.ndarray, np.ndarray]:
+    """The great circle x(t) = x0 cos(w t) + v0 sin(w t) / w and its velocity
+    v(t) = v0 cos(w t) - w x0 sin(w t) at the times t, as (t.shape + x0.shape)
+    arrays: embedded rows for the geodesic, chart components for the chart form."""
+    wt = w * np.asarray(t, dtype=float)[..., None]
+    c, s = np.cos(wt), np.sin(wt)
+    return x0 * c + v0 * s / w, v0 * c - w * x0 * s
 
-    In chart components this is eps(t) = eps0 cos(w t) + vel0 sin(w t)/w
-    and vel(t) = vel0 cos(w t) - w eps0 sin(w t), with w the angular
-    frequency above; the hemisphere sign is tracked by the embedding.
-    """
+
+def geodesic_exact(init: PhaseState, t: float, cfg: SpaceConfig) -> PhaseState:
+    """Closed-form geodesic flow at time t: the embedded great circle, valid
+    globally, with the hemisphere sign tracked by the embedding."""
     x0, v0 = _embed(init, cfg)
     w = float(np.linalg.norm(v0)) / cfg.R
     if w < _REST_OMEGA:
         return init
-    c, s = math.cos(w * t), math.sin(w * t)
-    x = x0 * c + (v0 / w) * s
-    v = v0 * c - (w * x0) * s
-    return _project(x, v)
+    return _project(*_great_circle(x0, v0, w, t))
 
 
-def closed_form_chart(init: PhaseState, t: float, omega: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Chart-form solution (eps, vel, acc) at time t for an explicit omega.
-
-    Used by the residual oracle, which also probes wrong frequencies.
-    """
-    e0 = init.point.eps
-    v0 = init.vel
-    c, s = math.cos(omega * t), math.sin(omega * t)
-    e = e0 * c + v0 * s / omega
-    v = v0 * c - omega * e0 * s
-    a = -(omega * omega) * e
-    return e, v, a
+def closed_form_chart(init: PhaseState, t, omega: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Chart-form solution (eps, vel, acc), each (t.shape + (3,)), at the times t
+    for an explicit omega: the residual oracle also probes wrong frequencies."""
+    e, v = _great_circle(init.point.eps, init.vel, omega, t)
+    return e, v, -(omega * omega) * e
 
 
 def _christoffel_many(eps: np.ndarray, rho_sign, cfg: SpaceConfig) -> np.ndarray:
@@ -238,11 +233,8 @@ def geodesic_equation_residual(init: PhaseState, times, cfg: SpaceConfig,
         omega = angular_frequency(init, cfg)
     if omega == 0.0:
         return 0.0
-    rows = [closed_form_chart(init, float(t), omega) for t in np.atleast_1d(times)]
-    e, v, a = (np.array([row[i] for row in rows]).reshape(-1, 3) for i in range(3))
-    gamma = _christoffel_many(e, +1, cfg)
-    res = a + np.einsum("njkl,nk,nl->nj", gamma, v, v)
-    return float(np.max(np.abs(res), initial=0.0))
+    e, v, a = closed_form_chart(init, np.ravel(times), omega)
+    return _max_abs(a + np.einsum("njkl,nk,nl->nj", _christoffel_many(e, +1, cfg), v, v))
 
 
 def _rk4_step(s: tuple, dt: float, R2: float) -> tuple:

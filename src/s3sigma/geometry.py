@@ -148,9 +148,14 @@ def _metric(eps: np.ndarray, rho_sign, cfg: SpaceConfig) -> np.ndarray:
     return np.eye(3) + eps[..., :, None] * eps[..., None, :] / den[..., None, None]
 
 
+def _metric_inverse_deviation(eps: np.ndarray, cfg: SpaceConfig) -> np.ndarray:
+    """g^ij - delta^ij = -eps^i eps^j / R^2 at chart points eps (..., 3), as (..., 3, 3)."""
+    return -(eps[..., :, None] * eps[..., None, :]) / (cfg.R * cfg.R)
+
+
 def _metric_inverse(eps: np.ndarray, cfg: SpaceConfig) -> np.ndarray:
     """The inverse metric at chart points eps (..., 3), as (..., 3, 3)."""
-    return np.eye(3) - eps[..., :, None] * eps[..., None, :] / (cfg.R * cfg.R)
+    return np.eye(3) + _metric_inverse_deviation(eps, cfg)
 
 
 def metric(c: ChartCoords, cfg: SpaceConfig) -> np.ndarray:

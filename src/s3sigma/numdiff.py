@@ -71,14 +71,15 @@ def stencil_gradient(F, x: np.ndarray, h) -> np.ndarray:
     return np.swapaxes(acc / (12.0 * hs[..., :, None]), -1, -2)
 
 
-def stencil_second(F, x: np.ndarray, h) -> np.ndarray:
+def stencil_second(F, x: np.ndarray, h) -> tuple[np.ndarray, np.ndarray]:
     """Second derivatives along each axis at a batch of points x (N, n), points last.
 
     h is the step of each point, broadcastable to (N,).  F is called once,
     on the (1 + 4n, N, n) array of every point's stencil points (itself,
     then 4 shifts along each axis), and returns values (..., 1 + 4n, N);
     leading axes such as a family of functions are kept.  Returns
-    d2[..., i, p] = d^2 F / (d x^i)^2 at x[p].  The stencil sums run
+    d2[..., i, p] = d^2 F / (d x^i)^2 at x[p], and the centre values
+    F(x)[..., p], a view into all the stencil's values.  The stencil sums run
     elementwise in table order, so each function in a stacked F gets the
     bits of its own call.
     """
@@ -95,7 +96,7 @@ def stencil_second(F, x: np.ndarray, h) -> np.ndarray:
     for k, w in enumerate(_D2_AT_D1):
         acc += np.multiply(w, along[..., k, :, :], out=tmp)
     acc /= 12.0 * hs * hs
-    return acc
+    return acc, values[..., 0, :]
 
 
 def complex_step_gradient(F, x: np.ndarray) -> np.ndarray:

@@ -30,7 +30,8 @@ from . import numdiff
 from .config import SpaceConfig
 from .errors import DomainError
 from .classical import _christoffel_many
-from .geometry import LEVI_CIVITA, _dual, _heights, _metric_inverse, quat_mul
+from .geometry import (LEVI_CIVITA, _dual, _heights, _metric_inverse,
+                       _metric_inverse_deviation, quat_mul)
 # eval_many stays bound here, an import-by-name site the benchmark tracer's tests check.
 from .qpoly import (MonomialBasis, _sphere_reduction, embedding, eval_many,  # noqa: F401
                     exponents, monomials, node_blocks)
@@ -358,18 +359,20 @@ def _fd_laplace_beltrami(fn, q: np.ndarray, R: float) -> np.ndarray:
     leading axes, so one call differences a whole family of functions.
     """
     q = np.atleast_2d(np.asarray(q, dtype=float))
-    return np.concatenate([_fd_laplace_block(fn, q[s:s + _FD_BLOCK], R)
+    return np.concatenate([_fd_laplace_block(fn, q[s:s + _FD_BLOCK], R)[0]
                            for s in range(0, q.shape[0], _FD_BLOCK)], axis=-1)
 
 
-def _fd_laplace_block(fn, q: np.ndarray, R: float) -> np.ndarray:
+def _fd_laplace_block(fn, q: np.ndarray, R: float) -> tuple[np.ndarray, np.ndarray]:
+    """The Laplacian of fn at the points q, and fn's values at the stencil's
+    centre q (1, 0, 0, 0), which is q exactly."""
     # The curves s -> q d(s e_a), d = _q_of_eps, are the geodesics
     # q exp(theta e_a) with sin(theta) = s / R, so theta''(0) = 0 and the
     # second derivative at s = 0 is the geodesic one.  Three orthonormal
     # geodesics through q give the Laplacian as the trace of the Hessian.
-    d2 = numdiff.stencil_second(lambda s: _on_points(fn, quat_mul(q, _q_of_eps(s, R))),
-                                np.zeros((q.shape[0], 3)), _H2_REL * R)
-    return d2[..., 0, :] + d2[..., 1, :] + d2[..., 2, :]
+    d2, centre = numdiff.stencil_second(lambda s: _on_points(fn, quat_mul(q, _q_of_eps(s, R))),
+                                        np.zeros((q.shape[0], 3)), _H2_REL * R)
+    return d2[..., 0, :] + d2[..., 1, :] + d2[..., 2, :], centre
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +545,7 @@ def eigen_residual_table(n_max: int, grid: QuadGrid, cfg: SpaceConfig,
     residual is ||L^T Red(r)||^2.  backend 'analytic' takes H psi from the
     polynomial operator; 'fd' sums the finite-difference Laplace-Beltrami
     route's |H psi - E psi|^2 over blocks of `_FD_BLOCK` nodes, with E psi
-    formed per block (the rotation residuals stay analytic).
+    from the stencil's centre values (the rotation residuals stay analytic).
     """
     if backend not in ("analytic", "fd"):
         raise DomainError("backend must be 'analytic' or 'fd'")
@@ -568,16 +571,15 @@ def eigen_residual_table(n_max: int, grid: QuadGrid, cfg: SpaceConfig,
         j22, j32 = squares
         h2 = np.zeros(len(labels))
         for s in range(0, len(grid), _FD_BLOCK):
-            block = slice(s, s + _FD_BLOCK)
-            lap = _fd_laplace_block(basis.rows, grid.q[block], cfg.R)
-            rows = basis.rows(grid.q[block])
+            lap, rows = _fd_laplace_block(basis.rows, grid.q[s:s + _FD_BLOCK], cfg.R)
             for coeffs in (basis.coeffs.real, basis.coeffs.imag):
                 d = coeffs @ lap
                 d *= -0.5 / cfg.m
                 ev = coeffs @ rows
                 ev *= e_n[:, None]
                 d -= ev
-                h2 += np.square(d, out=d) @ grid.weight[block]
+                h2 += np.square(d, out=d) @ grid.weight[s:s + _FD_BLOCK]
+            del lap, rows  # rows views all of the block's stencil values: free them
     return [{"n": lb.n, "l": lb.l, "m_z": lb.m_z, "energy": float(e_n[i]),
              "norm_residual": abs(float(norm2[i]) - 1.0),
              "h_residual": math.sqrt(h2[i]) / math.sqrt(norm2[i]),
@@ -679,7 +681,7 @@ def contraction_study(R_values, cfg: SpaceConfig | None = None, r0: float = 1.0)
     On the three `SmoothBump` kinds over a fixed box of chart points, for
     each radius R: nu_i = -(i/m) Z[i, k] d_k, Z the right frame of
     `geometry._dual`, against -(i/m) d_i, and H = -(1/2m) (g^ij d_i d_j
-    - g^ij Gamma^k_ij d_k), g^ij from `geometry._metric_inverse` and Gamma
+    - g^ij Gamma^k_ij d_k), g^ij and g^ij - delta^ij from `geometry` and Gamma
     from `classical._christoffel_many`, against -(1/2m) nabla^2.  Reports
     the max deviations D(R) and the fitted log-log slopes.
     """
@@ -702,7 +704,7 @@ def contraction_study(R_values, cfg: SpaceConfig | None = None, r0: float = 1.0)
         ginv = _metric_inverse(box, space)
         trace_gamma = np.einsum("pij,pkij->pk", ginv, _christoffel_many(box, 1, space))
         # g^ij - delta^ij against the Hessian: the curved minus the flat Laplacian
-        lap_dev = (np.einsum("pij,fpij->fp", ginv - np.eye(3), hess)
+        lap_dev = (np.einsum("pij,fpij->fp", _metric_inverse_deviation(box, space), hess)
                    - np.einsum("pk,fpk->fp", trace_gamma, grad))
         d_h.append(float(np.max(np.abs(lap_dev)) / (2.0 * m)))
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import classical, quantum, sigma_group
 from .config import SpaceConfig
 from .errors import DomainError
-from .geometry import ChartCoords, _heights
+from .geometry import ChartCoords, _dot, _heights
 from .quadrature import QuadGrid, build_grid, exact_volume, volume
 from .reports import DEFAULT_TOLERANCES
 from .sampling import Draws
@@ -225,15 +225,18 @@ def geodesic_deviations(rc: RunConfig, init: classical.PhaseState,
             Bound("endpoint_deviation", endpoint, "<", rc.tol("endpoint")))
 
 
+def _start_state(rng: Draws, cfg: SpaceConfig, radius_fraction: float) -> classical.PhaseState:
+    """Upper-hemisphere start: a normal eps scaled to radius_fraction R, then a normal velocity."""
+    eps0 = rng.standard_normal(3)
+    eps0 *= radius_fraction * cfg.R / np.linalg.norm(eps0)
+    return classical.PhaseState(ChartCoords(eps0, +1), rng.standard_normal(3))
+
+
 def check_conservation(rc: RunConfig, omega_t: float = 20.0,
                        steps: int = 2000) -> CheckResult:
     """Criterion 7: drifts of energy and both invariant triples; endpoint."""
     cfg = rc.space()
-    rng = Draws(rc.seed, 7)
-    eps0 = rng.standard_normal(3)
-    eps0 *= 0.3 * cfg.R / np.linalg.norm(eps0)
-    vel0 = rng.standard_normal(3)
-    init = classical.PhaseState(ChartCoords(eps0, +1), vel0)
+    init = _start_state(Draws(rc.seed, 7), cfg, 0.3)
     w = classical.angular_frequency(init, cfg)
     t_end = omega_t / w
     traj = classical.geodesic_integrate(init, t_end, steps, cfg)
@@ -251,25 +254,21 @@ def check_closed_form(rc: RunConfig, sample_times: int = 50) -> CheckResult:
     """Criterion 8: the closed form solves the geodesic equation with the
     metric frequency, and fails with the doubled (energy-form) frequency."""
     cfg = rc.space()
-    rng = Draws(rc.seed, 8)
-    eps0 = rng.standard_normal(3)
-    eps0 *= 0.25 * cfg.R / np.linalg.norm(eps0)
-    vel0 = rng.standard_normal(3)
-    init = classical.PhaseState(ChartCoords(eps0, +1), vel0)
+    init = _start_state(Draws(rc.seed, 8), cfg, 0.25)
     w = classical.angular_frequency(init, cfg)
-    period = 2.0 * math.pi / w
+    dt = 2.0 * math.pi / w / 211.0
 
     def residual_at(omega: float, max_norm: float) -> float:
-        # sample the closed form every period / 211 where it stays well
-        # inside the chart (|eps| < max_norm, rho > 0.35)
-        times = []
-        t = 0.0
-        while len(times) < sample_times:
-            e, _, _ = classical.closed_form_chart(init, t, omega)
-            if float(np.linalg.norm(e)) < max_norm and _heights(e, 1, cfg) > 0.35:
-                times.append(t)
-            t += period / 211.0
-        return classical.geodesic_equation_residual(init, times, cfg, omega=omega)
+        # the first sample_times of the times 0, dt, 2 dt, ... (running sums,
+        # as t += dt) where the closed form stays well inside the chart
+        # (|eps| < max_norm, |rho| > 0.35); one period more while too few are kept
+        n, t, kept = 0, np.zeros(0), np.zeros(0, dtype=int)
+        while len(kept) < sample_times:
+            n += 211
+            t = np.cumsum(np.concatenate(([0.0], np.full(n - 1, dt))))
+            e = classical.closed_form_chart(init, t, omega)[0]
+            kept = np.flatnonzero((np.sqrt(_dot(e, e)) < max_norm) & (_heights(e, 1, cfg) > 0.35))
+        return classical.geodesic_equation_residual(init, t[kept[:sample_times]], cfg, omega=omega)
 
     residual = residual_at(w, math.inf)
     h = classical.hamiltonian(init, cfg)

@@ -9,14 +9,16 @@ from s3sigma import (ChartCoords, DomainError, PhaseState, SpaceConfig, StencilE
                      dual_field, geodesic_exact, geodesic_integrate,
                      hamiltonian, hj_inverse, hj_transform, lagrangian,
                      momentum, poisson_bracket, verify_basic_algebra)
-from s3sigma import suite
-from s3sigma.classical import (_BASIS_NAMES, SolutionPoint, _bracket_matrix, _embed,
-                               _jacobi_sums, _sample_solution_points,
-                               angular_frequency, geodesic_equation_residual,
-                               invariant_velocities, jacobi_residual,
-                               theta_of_darboux)
-from s3sigma.geometry import LEVI_CIVITA, canonical_one_form, rho, sample_chart_points
+from s3sigma import classical, suite
+from s3sigma.classical import (_BASIS_NAMES, SolutionPoint, _bracket_matrix,
+                               _christoffel_many, _embed, _jacobi_sums, _sample_solution_points,
+                               angular_frequency, closed_form_chart,
+                               geodesic_equation_residual, invariant_velocities,
+                               jacobi_residual, theta_of_darboux)
+from s3sigma.geometry import (LEVI_CIVITA, _heights, canonical_one_form, rho,
+                              sample_chart_points)
 from s3sigma.reports import DEFAULT_TOLERANCES
+from s3sigma.sampling import Draws
 
 
 def state(eps, vel, sign=+1):
@@ -88,15 +90,10 @@ def test_geodesic_equation_residual_small(cfg_odd):
     # plug the closed form into the Euler-Lagrange oracle over one period
     init = state([0.2, -0.1, 0.15], [0.3, 0.8, -0.2])
     w = angular_frequency(init, cfg_odd)
-    period = 2 * math.pi / w
-    times = []
-    t = 0.0
-    while len(times) < 50:
-        e, _, _ = __import__("s3sigma.classical", fromlist=["closed_form_chart"]). \
-            closed_form_chart(init, t, w)
-        if rho(ChartCoords(e, +1), cfg_odd) > 0.35:
-            times.append(t)
-        t += period / 173.0
+    t = np.arange(173) * (2 * math.pi / (173 * w))
+    e, _, _ = closed_form_chart(init, t, w)
+    times = t[_heights(e, 1, cfg_odd) > 0.35]
+    assert len(times) >= 50
     assert geodesic_equation_residual(init, times, cfg_odd, omega=w) < 1e-7
 
 
@@ -123,7 +120,7 @@ def test_geodesic_equation_holds_down_to_height_0_01(R, m, unit, sign, direction
     init = state(R * u, np.array(direction) * speed / (w * R), sign)
     w = angular_frequency(init, cfg)
     t = np.arange(600) * (2.0 * math.pi / (600 * w))
-    eps = np.cos(w * t)[:, None] * init.point.eps + np.sin(w * t)[:, None] * init.vel / w
+    eps, _, _ = closed_form_chart(init, t, w)
     height2 = 1.0 - np.sum(eps ** 2, axis=1) / R ** 2
     residual = geodesic_equation_residual(init, t[height2 >= 1e-4], cfg, omega=w)
     assert residual < DEFAULT_TOLERANCES["geodesic_residual"]
@@ -138,6 +135,86 @@ def test_wrong_frequency_fails_geodesic_equation(cfg):
     assert w_alt == pytest.approx(2.0 * w, rel=1e-12)
     res = geodesic_equation_residual(init, [0.0], cfg, omega=w_alt)
     assert res > 1e-2
+
+
+def _c8_per_time_reference(rc, sample_times):
+    """Criterion 8 as a loop over candidate times: the scalar closed form at
+    t = 0, then t += period / 211, kept while |eps| < max_norm and rho > 0.35,
+    and the residual from one row per kept time.  Returns (times, residual)
+    for the metric and the energy-form frequency."""
+    cfg = rc.space()
+    rng = Draws(rc.seed, 8)
+    eps0 = rng.standard_normal(3)
+    eps0 *= 0.25 * cfg.R / np.linalg.norm(eps0)
+    init = PhaseState(ChartCoords(eps0, +1), rng.standard_normal(3))
+    w = angular_frequency(init, cfg)
+    period = 2.0 * math.pi / w
+
+    def chart(t, omega):
+        c, s = math.cos(omega * t), math.sin(omega * t)
+        e = init.point.eps * c + init.vel * s / omega
+        v = init.vel * c - omega * init.point.eps * s
+        return e, v, -(omega * omega) * e
+
+    def residual_at(omega, max_norm):
+        times = []
+        t = 0.0
+        while len(times) < sample_times:
+            e, _, _ = chart(t, omega)
+            if float(np.linalg.norm(e)) < max_norm and _heights(e, 1, cfg) > 0.35:
+                times.append(t)
+            t += period / 211.0
+        rows = [chart(t, omega) for t in times]
+        e, v, a = (np.array([row[i] for row in rows]) for i in range(3))
+        res = a + np.einsum("njkl,nk,nl->nj", _christoffel_many(e, +1, cfg), v, v)
+        return times, float(np.max(np.abs(res), initial=0.0))
+
+    w_energy_form = math.sqrt(8.0 * hamiltonian(init, cfg) / (cfg.m * cfg.R * cfg.R))
+    return residual_at(w, math.inf), residual_at(w_energy_form, 0.9 * cfg.R)
+
+
+@pytest.mark.parametrize("sample_times", [50, 200])
+@pytest.mark.parametrize("R,m", [(1.0, 1.0), (1.3, 0.7), (0.5, 0.5), (3.0, 1.0)])
+def test_c8_matches_the_per_time_loop_bit_for_bit(monkeypatch, R, m, sample_times):
+    # 200 samples need more than one period of candidates at the metric frequency
+    seen = []
+    residual = classical.geodesic_equation_residual
+
+    def recorded(init, times, cfg, omega=None):
+        seen.append(np.array(times))
+        return residual(init, times, cfg, omega=omega)
+
+    monkeypatch.setattr(classical, "geodesic_equation_residual", recorded)
+    for seed in range(5):
+        rc = suite.RunConfig(R=R, m=m, seed=seed)
+        seen.clear()
+        details = suite.check_closed_form(rc, sample_times=sample_times).details
+        (times, res), (times_alt, res_alt) = _c8_per_time_reference(rc, sample_times)
+        np.testing.assert_array_equal(seen[0], times)
+        np.testing.assert_array_equal(seen[1], times_alt)
+        assert details["residual_metric_frequency"] == res
+        assert details["residual_energy_form_frequency"] == res_alt
+
+
+def test_c8_makes_no_per_sample_calls(monkeypatch):
+    # the closed form at all candidate times in one call per frequency, and
+    # again at the kept times for the residual; one Christoffel call each
+    calls = {}
+
+    def count(module, name):
+        fn = getattr(module, name)
+        calls[name] = 0
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    count(classical, "closed_form_chart")
+    count(classical, "_christoffel_many")
+    count(suite, "_heights")
+    assert suite.check_closed_form(suite.RunConfig(R=1.3, m=0.7, seed=5)).passed
+    assert calls == {"closed_form_chart": 4, "_christoffel_many": 2, "_heights": 2}
 
 
 def test_geodesic_period_closure(cfg_odd):

@@ -50,7 +50,7 @@ def _points_and_steps(rng, count=40):
 def test_stencil_second_diagonal_is_exact_on_degree_five(rng):
     x, h = _points_and_steps(rng)
     c = rng.normal(size=3)
-    d2 = numdiff.stencil_second(lambda p: np.sum(c * p ** 5, axis=-1), x, h)
+    d2, _ = numdiff.stencil_second(lambda p: np.sum(c * p ** 5, axis=-1), x, h)
     assert d2.shape == (3, 40)
     np.testing.assert_allclose(d2, 20.0 * c[:, None] * x.T ** 3, rtol=0.0, atol=1e-12)
 
@@ -59,12 +59,23 @@ def test_stencil_second_stacked_functions_equal_single_calls(rng):
     x, h = _points_and_steps(rng)
     coef = rng.normal(size=(3, len(_EXPONENTS)))
     _, hess = _derivatives(coef, x)
-    stacked = numdiff.stencil_second(lambda p: _values(coef, p), x, h)
+    stacked, _ = numdiff.stencil_second(lambda p: _values(coef, p), x, h)
     assert stacked.shape == (3, 3, 40)
     np.testing.assert_allclose(stacked, np.einsum("fiin->fin", hess), rtol=0.0, atol=5e-11)
     for k in range(3):
-        single = numdiff.stencil_second(lambda p: _values(coef[k:k + 1], p), x, h)
+        single, _ = numdiff.stencil_second(lambda p: _values(coef[k:k + 1], p), x, h)
         np.testing.assert_array_equal(stacked[k], single[0])
+
+
+def test_stencil_second_returns_the_centre_values_bit_for_bit(rng):
+    x, h = _points_and_steps(rng)
+
+    def f(p):
+        return np.stack([np.sin(p[..., 0]) * p[..., 1], np.exp(p[..., 2]) / (2.0 + p[..., 0])])
+
+    _, centre = numdiff.stencil_second(f, x, h)
+    assert centre.shape == (2, 40)
+    np.testing.assert_array_equal(centre, f(x))
 
 
 def test_stencil_gradient_is_exact_with_per_point_steps(rng):

@@ -624,6 +624,24 @@ def test_residual_table_memory_is_per_label():
     assert peak < 20e6, f"peak traced memory {peak / 1e6:.1f} MB"
 
 
+def test_fd_residual_table_frees_each_blocks_stencil_values():
+    # E psi reads the stencil's centre values, a view into the block's 13
+    # point sets of 126 rows (3.3 MB): kept into the next block they raise
+    # the traced peak from 6.3 to 9.9 MB
+    import tracemalloc
+
+    cfg = SpaceConfig(1.0, 1.0)
+    grid = build_grid(16, 12, 16, cfg)
+    quantum.eigen_residual_table(5, grid, cfg, backend="fd")  # fill the caches
+    tracemalloc.start()
+    try:
+        quantum.eigen_residual_table(5, grid, cfg, backend="fd")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7.5e6, f"peak traced memory {peak / 1e6:.1f} MB"
+
+
 def test_gram_matrix_memory_is_per_node_block():
     # The real and imaginary values of all 91 functions on the 16,384
     # nodes are 23.9 MB; one 2,048-node block of the 92 rows distinct up
@@ -739,6 +757,18 @@ def test_fd_laplacian_batched_over_functions_equals_single_calls(rng):
     basis = MonomialBasis(quantum._basis_coeffs(labels, cfg, 5), 5)
     via_rows = basis.coeffs @ quantum._fd_laplace_beltrami(basis.rows, q, cfg.R)
     np.testing.assert_allclose(via_rows, singles, rtol=0.0, atol=1e-8)
+
+
+def test_fd_laplace_block_centre_values_are_the_rows_bit_for_bit(rng):
+    # the FD table forms E psi from the stencil's centre values: the centre
+    # point set q (1, 0, 0, 0) is q exactly
+    cfg = SpaceConfig(1.3, 0.7)
+    basis = MonomialBasis(quantum._basis_coeffs(labels_up_to(5), cfg, 5), 5)
+    q = rng.normal(size=(200, 4))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    q = np.concatenate([q, _equator_band_q(rng, 56)])
+    _, centre = quantum._fd_laplace_block(basis.rows, q, cfg.R)
+    np.testing.assert_array_equal(centre, basis.rows(q))
 
 
 @pytest.mark.parametrize("R,m", [(1.0, 1.0), (0.5, 0.5), (3.0, 1.0)])
@@ -873,10 +903,20 @@ def test_contraction_fails_with_a_wrong_frame_height(monkeypatch):
 
 
 def test_contraction_fails_with_a_wrong_inverse_metric(monkeypatch):
-    inverse = quantum._metric_inverse
-    monkeypatch.setattr(quantum, "_metric_inverse",
-                        lambda eps, cfg: inverse(eps, cfg) + 1e-4 * np.eye(3))
+    # c10 reads g^ij - delta^ij from its own kernel: shift it by 1e-4 delta^ij
+    deviation = quantum._metric_inverse_deviation
+    monkeypatch.setattr(quantum, "_metric_inverse_deviation",
+                        lambda eps, cfg: deviation(eps, cfg) + 1e-4 * np.eye(3))
     assert "hamiltonian.strictly_decreasing" in _failed_c10_bounds()
+
+
+def test_contraction_h_deviation_keeps_its_digits_at_large_radii():
+    # g^ij - delta^ij = -eps^i eps^j / R^2 is formed without cancelling the
+    # identity, so the H deviation falls exactly as R^-2 out to R = 2e4
+    rep = contraction_study([20.0, 200.0, 2e3, 2e4], cfg=CFG)["hamiltonian"]
+    scaled = np.array(rep["deviation"]) * np.array([20.0, 200.0, 2e3, 2e4]) ** 2
+    np.testing.assert_allclose(scaled, scaled[0], rtol=1e-14, atol=0.0)
+    assert abs(rep["slope"] + 2.0) < 1e-13
 
 
 def test_contraction_rejects_wide_support():
