@@ -100,7 +100,7 @@ def _embed(state: PhaseState, cfg: SpaceConfig) -> tuple[np.ndarray, np.ndarray]
     c = state.point
     r = _off_equator(rho(c, cfg))
     x = np.concatenate(([cfg.R * r], c.eps))
-    v0 = -float(np.dot(c.eps, state.vel)) / (cfg.R * r)
+    v0 = -float(_dot(c.eps, state.vel)) / (cfg.R * r)
     v = np.concatenate(([v0], state.vel))
     return x, v
 
@@ -129,16 +129,19 @@ def _theta_from_embedding(x: np.ndarray, v: np.ndarray,
 # ---------------------------------------------------------------------------
 # energy functions
 
+def _speed2(s: PhaseState, cfg: SpaceConfig) -> float:
+    """The squared chart speed g_ij(eps) vel^i vel^j."""
+    return float(_dot(s.vel, _dot(metric(s.point, cfg), s.vel)))
+
+
 def lagrangian(s: PhaseState, cfg: SpaceConfig) -> float:
     """Kinetic Lagrangian (m/2) g_ij(eps) vel^i vel^j."""
-    g = metric(s.point, cfg)
-    return 0.5 * cfg.m * float(s.vel @ g @ s.vel)
+    return 0.5 * cfg.m * _speed2(s, cfg)
 
 
 def momentum(s: PhaseState, cfg: SpaceConfig) -> np.ndarray:
     """Canonical momentum p_i = m g_ij vel^j."""
-    g = metric(s.point, cfg)
-    return cfg.m * (g @ s.vel)
+    return cfg.m * _dot(metric(s.point, cfg), s.vel)
 
 
 def hamiltonian(s: PhaseState, cfg: SpaceConfig, route: str = "velocity") -> float:
@@ -152,11 +155,10 @@ def hamiltonian(s: PhaseState, cfg: SpaceConfig, route: str = "velocity") -> flo
         return lagrangian(s, cfg)
     if route == "momentum":
         p = momentum(s, cfg)
-        ginv = metric_inverse(s.point, cfg)
-        return float(p @ ginv @ p) / (2.0 * cfg.m)
+        return float(_dot(p, _dot(metric_inverse(s.point, cfg), p))) / (2.0 * cfg.m)
     if route == "frame":
-        th = canonical_one_form(s.point, "right", cfg) @ s.vel
-        return 0.5 * cfg.m * float(th @ th)
+        th = _dot(canonical_one_form(s.point, "right", cfg), s.vel)
+        return 0.5 * cfg.m * float(_dot(th, th))
     raise DomainError(f"unknown Hamiltonian route {route!r}")
 
 
@@ -171,8 +173,7 @@ def invariant_velocities(s: PhaseState, cfg: SpaceConfig) -> tuple[np.ndarray, n
 
 def angular_frequency(s: PhaseState, cfg: SpaceConfig) -> float:
     """omega = (1/R) sqrt(g_ij vel^i vel^j); the great-circle rate."""
-    g = metric(s.point, cfg)
-    return math.sqrt(max(0.0, float(s.vel @ g @ s.vel))) / cfg.R
+    return math.sqrt(max(0.0, _speed2(s, cfg))) / cfg.R
 
 
 def _great_circle(x0: np.ndarray, v0: np.ndarray, w: float, t) -> tuple[np.ndarray, np.ndarray]:
@@ -188,7 +189,7 @@ def geodesic_exact(init: PhaseState, t: float, cfg: SpaceConfig) -> PhaseState:
     """Closed-form geodesic flow at time t: the embedded great circle, valid
     globally, with the hemisphere sign tracked by the embedding."""
     x0, v0 = _embed(init, cfg)
-    w = float(np.linalg.norm(v0)) / cfg.R
+    w = math.sqrt(_dot(v0, v0)) / cfg.R
     if w < _REST_OMEGA:
         return init
     return _project(*_great_circle(x0, v0, w, t))
@@ -287,7 +288,7 @@ def geodesic_integrate(init: PhaseState, t_end: float, steps: int,
     if steps < 10:
         raise DomainError("steps must be at least 10")
     x, v = _embed(init, cfg)
-    w = float(np.linalg.norm(v)) / cfg.R
+    w = math.sqrt(_dot(v, v)) / cfg.R
     dt = t_end / steps
     warnings: list[str] = []
     if w * abs(dt) > 0.5:
@@ -316,7 +317,7 @@ def geodesic_integrate(init: PhaseState, t_end: float, steps: int,
         warnings.append(f"integration diverged at step {filled}; trajectory truncated")
         xs, vs = xs[:filled], vs[:filled]
     th_r, th_l = _theta_from_embedding(xs, vs, cfg)
-    energy = 0.5 * cfg.m * (vs[:, None, :] @ vs[:, :, None])[:, 0, 0]  # rounded as vv @ vv
+    energy = 0.5 * cfg.m * _dot(vs, vs)
     return Trajectory(np.arange(filled) * dt, xs, vs, energy, th_r, th_l, warnings)
 
 
@@ -339,7 +340,7 @@ def hj_inverse(sp: SolutionPoint, t: float, cfg: SpaceConfig) -> PhaseState:
     """
     c0 = ChartCoords(sp.eps0, sp.rho_sign)
     zmat = dual_field(c0, "right", cfg)
-    vel0 = zmat @ sp.theta0
+    vel0 = _dot(zmat, sp.theta0)
     return geodesic_exact(PhaseState(c0, vel0), t, cfg)
 
 
@@ -353,16 +354,14 @@ def _basis_values(x, cfg: SpaceConfig, rho_sign) -> np.ndarray:
     x holds (eps, pi) along its last axis, (..., 6) in and (..., 7) out, on
     the hemispheres rho_sign: one sign, or one per index of x's leading axes
     (per row of a batch).  theta = (rho pi + eps x pi / R) / m is Z pi / m
-    with Z the right dual frame.  Only analytic operations are used, so a
-    complex x gives complex-step derivatives; a real height is clamped at
-    the chart boundary as geometry.rho does.
+    with Z the right dual frame, and rho comes from `geometry._heights`.
+    Only analytic operations are used, so a complex x gives complex-step
+    derivatives.
     """
-    e0, e1, e2, p0, p1, p2 = np.moveaxis(np.asarray(x), -1, 0)
-    height2 = 1.0 - (e0 * e0 + e1 * e1 + e2 * e2) / (cfg.R * cfg.R)
-    if not np.iscomplexobj(height2):
-        height2 = np.maximum(height2, 0.0)
+    x = np.asarray(x)
+    e0, e1, e2, p0, p1, p2 = np.moveaxis(x, -1, 0)
     sign = np.asarray(rho_sign)
-    r = sign.reshape(sign.shape + (1,) * (height2.ndim - sign.ndim)) * np.sqrt(height2)
+    r = _heights(x[..., :3], sign.reshape(sign.shape + (1,) * (x.ndim - 1 - sign.ndim)), cfg)
     theta = ((r * p0 + (e1 * p2 - e2 * p1) / cfg.R) / cfg.m,
              (r * p1 + (e2 * p0 - e0 * p2) / cfg.R) / cfg.m,
              (r * p2 + (e0 * p1 - e1 * p0) / cfg.R) / cfg.m)
@@ -385,22 +384,19 @@ def theta_of_darboux(eps: np.ndarray, pi: np.ndarray, cfg: SpaceConfig,
 def poisson_bracket(f, g, at: SolutionPoint, cfg: SpaceConfig) -> float:
     """Canonical bracket {f, g} = df/deps . dg/dpi - df/dpi . dg/deps.
 
-    f and g take (eps, pi) arrays and return scalars; all derivatives
-    are 4th-order central differences taken at the solution point.
+    f and g take (eps, pi) arrays and return scalars; both gradients come
+    from one 4th-order stencil at the solution point, which evaluates f
+    and g once at each of its 24 points.
     """
-    e0, p0 = at.eps0, at.pi0
-    h = _stencil_steps(np.concatenate([e0, p0]), cfg)
+    x = np.concatenate([at.eps0, at.pi0])
 
-    def df(func):
-        de = np.array([numdiff.partial(lambda y: func(y, p0), e0, i, h[i])
-                       for i in range(3)])
-        dp = np.array([numdiff.partial(lambda y: func(e0, y), p0, i, h[3 + i])
-                       for i in range(3)])
-        return de, dp
+    def both(y: np.ndarray) -> np.ndarray:
+        rows = y.reshape(-1, 6)
+        return np.array([[f(r[:3], r[3:]), g(r[:3], r[3:])] for r in rows],
+                        dtype=float).reshape(y.shape[:-1] + (2,))
 
-    fe, fp = df(f)
-    ge, gp = df(g)
-    return float(fe @ gp - fp @ ge)
+    (fe, fp), (ge, gp) = numdiff.stencil_gradient(both, x, _stencil_steps(x, cfg)).reshape(2, 2, 3)
+    return float(_dot(fe, gp) - _dot(fp, ge))
 
 
 def _sample_solution_points(rng: Draws, cfg: SpaceConfig,
@@ -412,7 +408,7 @@ def _sample_solution_points(rng: Draws, cfg: SpaceConfig,
 
 def _stencil_steps(x, cfg: SpaceConfig) -> np.ndarray:
     """Steps (..., 6) for the Darboux rows x (..., 6): 1e-5 R along eps and
-    1e-5 max(1, |pi|) along pi, |pi| rounded as np.linalg.norm rounds it."""
+    1e-5 max(1, |pi|) along pi."""
     h_eps = numdiff.DEFAULT_REL_STEP * cfg.R
     h_pi = numdiff.DEFAULT_REL_STEP * np.maximum(1.0, np.sqrt(_dot(x[..., 3:], x[..., 3:])))
     _check_stencil_margin(x[..., :3], h_eps, cfg, "bracket stencil would leave the chart")
@@ -422,7 +418,9 @@ def _stencil_steps(x, cfg: SpaceConfig) -> np.ndarray:
 def _poisson_matrix(jac: np.ndarray) -> np.ndarray:
     """P[..., f, g] = {f, g} from gradients jac[..., f, :] over (eps, pi).
 
-    P = A - A^T with A = J_eps J_pi^T, so P is exactly antisymmetric.
+    P = A - A^T with A = J_eps J_pi^T, so P is exactly antisymmetric.  A
+    stays a stacked matmul, rounded as the BLAS kernel rounds it: as `_dot`
+    sums over criterion 6's complex Jacobi arrays it takes 3.5 times as long.
     """
     a = jac[..., :3] @ np.swapaxes(jac[..., 3:], -1, -2)
     return a - np.swapaxes(a, -1, -2)

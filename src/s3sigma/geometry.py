@@ -77,7 +77,7 @@ class S3Point:
 
     def __post_init__(self) -> None:
         q = np.array(self.q, dtype=float).reshape(4)
-        n = float(np.linalg.norm(q))
+        n = math.sqrt(_dot(q, q))
         if not np.isfinite(n) or n == 0.0:
             raise DomainError("quaternion must be finite and nonzero")
         # Renormalize after arithmetic; reject inputs that are badly off the sphere.
@@ -99,7 +99,7 @@ def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hamilton product of quaternions held as (..., 4) arrays (q0, q1, q2, q3);
     the vector part (a0 b_i + b0 a_i) + (a_j b_k - a_k b_j) is written by components."""
     out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)))
-    out[..., 0] = a[..., 0] * b[..., 0] - np.sum(a[..., 1:] * b[..., 1:], axis=-1)
+    out[..., 0] = a[..., 0] * b[..., 0] - _dot(a[..., 1:], b[..., 1:])
     for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
         out[..., i] = ((a[..., 0] * b[..., i] + b[..., 0] * a[..., i])
                        + (a[..., j] * b[..., k] - a[..., k] * b[..., j]))
@@ -112,15 +112,29 @@ def rho(c: ChartCoords, cfg: SpaceConfig) -> float:
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot products over the last axis of (..., 3) arrays, each rounded as np.dot rounds it."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+    """Sums a[..., 0] b[..., 0] + a[..., 1] b[..., 1] + ... over the last axis, left to right.
+
+    a and b share the length of their last axis and broadcast over the
+    others, so _dot(g, v) is the product of a matrix g (3, 3) with a vector
+    v (3,), and _dot(g, v[..., None, :]) the same for stacks.  Every short
+    dot product, norm, quadratic form and matrix-vector product of the
+    chart and group arithmetic is formed here, in this one order, which
+    rounds the same on every IEEE host: no BLAS kernel or SIMD width picks
+    the order of the sum.
+    """
+    out = a[..., 0] * b[..., 0]
+    for k in range(1, a.shape[-1]):
+        out = out + a[..., k] * b[..., k]
+    return out
 
 
 def _heights(eps: np.ndarray, rho_sign, cfg: SpaceConfig) -> np.ndarray:
-    """Signed heights rho of chart points eps (..., 3): rho batched.
+    """Signed heights rho = rho_sign sqrt(1 - |eps|^2 / R^2) of chart points eps (..., 3).
 
-    rho_sign broadcasts against eps[..., 0].  DomainError when an eps
-    leaves the chart ball, |eps|^2 / R^2 > 1 + 1e-12, or is not finite.
+    The one place a chart height is formed: |eps|^2 is `_dot(eps, eps)`,
+    then divided by R^2.  rho_sign broadcasts against eps[..., 0].
+    DomainError when an eps leaves the chart ball, |eps|^2 / R^2 > 1 + 1e-12,
+    or is not finite.
     A real height is clamped at the boundary; a complex eps (a complex
     step) is checked by its real part and not clamped, so rho is analytic.
     """
@@ -209,7 +223,7 @@ def _dual(eps: np.ndarray, r: np.ndarray, s: float, R: float) -> np.ndarray:
 def _check_stencil_margin(eps: np.ndarray, h: float, cfg: SpaceConfig, message: str) -> None:
     """StencilError(message) when a stencil of step h around chart points eps (..., 3)
     would reach |eps| > R (1 - 1e-8)."""
-    widest = math.sqrt(max(np.einsum("...i,...i->...", eps, eps).flat))  # max |eps|
+    widest = math.sqrt(np.max(_dot(eps, eps)))  # max |eps|
     if widest + 2.0 * h > cfg.R * (1.0 - 1e-8):
         raise StencilError(message)
 
@@ -240,7 +254,7 @@ def killing_residual(c: ChartCoords, field_fn, cfg: SpaceConfig,
     jx, dg = jac[:3], jac[3:].reshape(3, 3, 3)  # jx[k, i] = d X^k / d x^i, dg[i, j, k] = d g_ij / d x^k
     g = metric(c, cfg)
     # (L_X g)_ij = X^k d_k g_ij + d_i X^k g_kj + d_j X^k g_ik
-    lie = dg @ np.asarray(field_fn(c), dtype=float) + jx.T @ g + g @ jx
+    lie = _dot(dg, np.asarray(field_fn(c), dtype=float)) + jx.T @ g + g @ jx
     return float(np.max(np.abs(lie)))
 
 
@@ -252,14 +266,7 @@ def sample_chart_arrays(rng: Draws, cfg: SpaceConfig, count: int,
     R f u^(1/3) and the sign (-1 where u < 0.5)."""
     v = rng.standard_normal((count, 3))
     u = rng.random((count, 2))
-    eps = v * (cfg.R * max_radius_fraction * np.cbrt(u[:, 0]) / np.linalg.norm(v, axis=1))[:, None]
+    eps = v * (cfg.R * max_radius_fraction * np.cbrt(u[:, 0]) / np.sqrt(_dot(v, v)))[:, None]
     signs = np.where(u[:, 1] < 0.5, -1, 1) if both_hemispheres else np.ones(count, dtype=int)
     return eps, signs
 
-
-def sample_chart_points(rng: Draws, cfg: SpaceConfig, count: int,
-                        max_radius_fraction: float = 0.9,
-                        both_hemispheres: bool = True) -> list[ChartCoords]:
-    """`sample_chart_arrays` as one `ChartCoords` per point."""
-    eps, signs = sample_chart_arrays(rng, cfg, count, max_radius_fraction, both_hemispheres)
-    return [ChartCoords(e, int(s)) for e, s in zip(eps, signs)]

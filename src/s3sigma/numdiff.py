@@ -5,16 +5,15 @@ group frames and Theta, the metric, the basic Darboux functions, the
 gradient of criterion 10's bump) is taken by `complex_step_gradient`:
 exact to rounding, with no step to choose.  The 4th-order stencils
 serve only where the complex step does not apply: user-supplied
-functions (`classical.poisson_bracket` through `partial`,
-`geometry.killing_residual`), criterion 6's bracket matrix, which
-matches that scalar reference, the outer derivative of its Jacobi sums,
-whose inner brackets are complex steps already, and the second
-derivatives of the quantum FD oracles.  Their weights come from the
+functions (`classical.poisson_bracket`, `geometry.killing_residual`),
+criterion 6's bracket matrix, which matches that scalar reference, the
+outer derivative of its Jacobi sums, whose inner brackets are complex
+steps already, and the second derivatives of the quantum FD oracles.  Their weights come from the
 two tables below, at a default step of 1e-5 times the coordinate scale.
 `stencil_gradient`, `stencil_second` and `complex_step_gradient` each
 call their function once, on every point of every stencil or step.
-`jacobian` is no longer called by the package; the benchmark tracer
-(`perfbench/tracer.py`) reads it and `partial` by name.
+`partial` and `jacobian` have no caller in the package; they stay only
+because the benchmark tracer (`perfbench/tracer.py`) reads them by name.
 """
 
 from __future__ import annotations

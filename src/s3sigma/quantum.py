@@ -30,7 +30,7 @@ from . import numdiff
 from .config import SpaceConfig
 from .errors import DomainError
 from .classical import _christoffel_many
-from .geometry import (LEVI_CIVITA, _dual, _heights, _metric_inverse,
+from .geometry import (LEVI_CIVITA, _dot, _dual, _heights, _metric_inverse,
                        _metric_inverse_deviation, quat_mul)
 # eval_many stays bound here, an import-by-name site the benchmark tracer's tests check.
 from .qpoly import (MonomialBasis, _sphere_reduction, embedding, eval_many,  # noqa: F401
@@ -159,17 +159,6 @@ def _level_norm_constants(n: int, R: float) -> tuple[float, ...]:
     vals = MonomialBasis(raws, n).values(q).real
     w = R ** 3 * np.sum(w_phi) * np.outer(w_chi, w_u).ravel()
     return tuple(1.0 / math.sqrt(s) for s in (vals ** 2) @ w)
-
-
-def measured_normalization_factor(n: int, l: int, cfg: SpaceConfig) -> float:
-    """Fit the free constant nu in N = 2^l l! sqrt(2(n+1)(n-l)!/(nu (n+l+1)!)).
-
-    Comes out as pi R^3 for every (n, l); reported, not assumed.
-    """
-    n_quad = basis_norm_constant(n, l, cfg)
-    pref = (2.0 ** l) * math.factorial(l)
-    return (pref ** 2) * 2.0 * (n + 1.0) * math.factorial(n - l) / (
-        math.factorial(n + l + 1) * n_quad ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +305,9 @@ def _mapped(wf: WaveFunction, scale, name: str, axis: int = 0,
 # ---------------------------------------------------------------------------
 # finite-difference backends (work on any evaluator)
 
-def _q_of_eps(eps: np.ndarray, R: float) -> np.ndarray:
+def _q_of_eps(eps: np.ndarray, cfg: SpaceConfig) -> np.ndarray:
     """Upper-hemisphere points (..., 4) of the chart coordinates eps (..., 3)."""
-    s2 = np.sum(eps * eps, axis=-1) / (R * R)
-    q0 = np.sqrt(np.clip(1.0 - s2, 0.0, None))
-    return np.concatenate([q0[..., None], eps / R], axis=-1)
+    return np.concatenate([_heights(eps, 1, cfg)[..., None], eps / cfg.R], axis=-1)
 
 
 def _on_points(fn, q: np.ndarray) -> np.ndarray:
@@ -329,7 +316,7 @@ def _on_points(fn, q: np.ndarray) -> np.ndarray:
     return vals.reshape(vals.shape[:-1] + q.shape[:-1])
 
 
-def _fd_frame_derivs(fn, q: np.ndarray, R: float) -> tuple[np.ndarray, np.ndarray]:
+def _fd_frame_derivs(fn, q: np.ndarray, cfg: SpaceConfig) -> tuple[np.ndarray, np.ndarray]:
     """Right- and left-frame derivatives (each (3, N)) of fn at the points q.
 
     They are d/ds of f(exp(s e_i) q) and f(q exp(s e_i)) at s = 0, by
@@ -339,11 +326,11 @@ def _fd_frame_derivs(fn, q: np.ndarray, R: float) -> tuple[np.ndarray, np.ndarra
     p = np.atleast_2d(np.asarray(q, dtype=float))[:, None, None, :]
 
     def flows(s: np.ndarray) -> np.ndarray:
-        d = _q_of_eps(s, R)
+        d = _q_of_eps(s, cfg)
         return np.stack([_on_points(fn, quat_mul(d, p)),
                          _on_points(fn, quat_mul(p, d))], axis=-1)
 
-    jac = numdiff.stencil_gradient(flows, np.zeros((p.shape[0], 3)), _H1_REL * R)
+    jac = numdiff.stencil_gradient(flows, np.zeros((p.shape[0], 3)), _H1_REL * cfg.R)
     return jac[:, 0, :].T, jac[:, 1, :].T
 
 
@@ -352,26 +339,26 @@ def _fd_frame_derivs(fn, q: np.ndarray, R: float) -> tuple[np.ndarray, np.ndarra
 _FD_BLOCK = 256
 
 
-def _fd_laplace_beltrami(fn, q: np.ndarray, R: float) -> np.ndarray:
+def _fd_laplace_beltrami(fn, q: np.ndarray, cfg: SpaceConfig) -> np.ndarray:
     """Laplace-Beltrami operator by central differences along geodesics at the points q.
 
     fn maps points (n, 4) to values (..., n); the result keeps those
     leading axes, so one call differences a whole family of functions.
     """
     q = np.atleast_2d(np.asarray(q, dtype=float))
-    return np.concatenate([_fd_laplace_block(fn, q[s:s + _FD_BLOCK], R)[0]
+    return np.concatenate([_fd_laplace_block(fn, q[s:s + _FD_BLOCK], cfg)[0]
                            for s in range(0, q.shape[0], _FD_BLOCK)], axis=-1)
 
 
-def _fd_laplace_block(fn, q: np.ndarray, R: float) -> tuple[np.ndarray, np.ndarray]:
+def _fd_laplace_block(fn, q: np.ndarray, cfg: SpaceConfig) -> tuple[np.ndarray, np.ndarray]:
     """The Laplacian of fn at the points q, and fn's values at the stencil's
     centre q (1, 0, 0, 0), which is q exactly."""
     # The curves s -> q d(s e_a), d = _q_of_eps, are the geodesics
     # q exp(theta e_a) with sin(theta) = s / R, so theta''(0) = 0 and the
     # second derivative at s = 0 is the geodesic one.  Three orthonormal
     # geodesics through q give the Laplacian as the trace of the Hessian.
-    d2, centre = numdiff.stencil_second(lambda s: _on_points(fn, quat_mul(q, _q_of_eps(s, R))),
-                                        np.zeros((q.shape[0], 3)), _H2_REL * R)
+    d2, centre = numdiff.stencil_second(lambda s: _on_points(fn, quat_mul(q, _q_of_eps(s, cfg))),
+                                        np.zeros((q.shape[0], 3)), _H2_REL * cfg.R)
     return d2[..., 0, :] + d2[..., 1, :] + d2[..., 2, :], centre
 
 
@@ -408,7 +395,7 @@ def apply_nu(axis: int, wf: WaveFunction, cfg: SpaceConfig,
     method = _resolve_method(wf, method)
     if method == "analytic":
         return _mapped(wf, -1j / (cfg.m * cfg.R), "right", axis)
-    return _fd_operator(wf, lambda fn, q: (-1j / cfg.m) * _fd_frame_derivs(fn, q, cfg.R)[0][axis])
+    return _fd_operator(wf, lambda fn, q: (-1j / cfg.m) * _fd_frame_derivs(fn, q, cfg)[0][axis])
 
 
 def apply_position(which, wf: WaveFunction, cfg: SpaceConfig) -> WaveFunction:
@@ -447,7 +434,7 @@ def apply_J(which, wf: WaveFunction, cfg: SpaceConfig, hermitian: bool = True,
 
     def raw(fn, q: np.ndarray) -> np.ndarray:
         # J_raw = (R/2) (right frame - left frame), regular everywhere.
-        fr, fl = _fd_frame_derivs(fn, q, cfg.R)
+        fr, fl = _fd_frame_derivs(fn, q, cfg)
         return 0.5 * cfg.R * (fr[which] - fl[which])
 
     return _fd_operator(wf, (lambda fn, q: -1j * raw(fn, q)) if hermitian else raw)
@@ -460,7 +447,7 @@ def left_action_operator(axis: int, wf: WaveFunction, cfg: SpaceConfig,
         raise DomainError("axis must be 0, 1 or 2")
     if _resolve_method(wf, method) == "analytic":
         return _mapped(wf, 1.0 / cfg.R, "left", axis)
-    return _fd_operator(wf, lambda fn, q: _fd_frame_derivs(fn, q, cfg.R)[1][axis])
+    return _fd_operator(wf, lambda fn, q: _fd_frame_derivs(fn, q, cfg)[1][axis])
 
 
 def apply_hamiltonian(wf: WaveFunction, cfg: SpaceConfig,
@@ -481,7 +468,7 @@ def apply_hamiltonian(wf: WaveFunction, cfg: SpaceConfig,
     if backend == "via_nu":
         return _wf_sum([apply_nu(a, apply_nu(a, wf, cfg, method), cfg, method)
                         for a in range(3)], 0.5 * cfg.m)
-    return _fd_operator(wf, lambda fn, q: (-0.5 / cfg.m) * _fd_laplace_beltrami(fn, q, cfg.R))
+    return _fd_operator(wf, lambda fn, q: (-0.5 / cfg.m) * _fd_laplace_beltrami(fn, q, cfg))
 
 
 def _wf_sum(wfs: list[WaveFunction], s) -> WaveFunction:
@@ -571,7 +558,7 @@ def eigen_residual_table(n_max: int, grid: QuadGrid, cfg: SpaceConfig,
         j22, j32 = squares
         h2 = np.zeros(len(labels))
         for s in range(0, len(grid), _FD_BLOCK):
-            lap, rows = _fd_laplace_block(basis.rows, grid.q[s:s + _FD_BLOCK], cfg.R)
+            lap, rows = _fd_laplace_block(basis.rows, grid.q[s:s + _FD_BLOCK], cfg)
             for coeffs in (basis.coeffs.real, basis.coeffs.imag):
                 d = coeffs @ lap
                 d *= -0.5 / cfg.m
@@ -645,7 +632,7 @@ class SmoothBump:
 
     def _parts(self, eps: np.ndarray):
         r0 = self.r0
-        s2 = np.sum(eps * eps, axis=-1) / (r0 ** 2)
+        s2 = _dot(eps, eps) / (r0 ** 2)
         inside = s2.real < 1.0 - 1e-12
         u = np.where(inside, 1.0 - s2, 1.0)
         b = np.where(inside, np.exp(-1.0 / u), 0.0)
@@ -709,7 +696,14 @@ def contraction_study(R_values, cfg: SpaceConfig | None = None, r0: float = 1.0)
         d_h.append(float(np.max(np.abs(lap_dev)) / (2.0 * m)))
 
     def series(ds):
-        slope = float(np.polyfit(np.log(radii), np.log(ds), 1)[0]) if min(ds) > 0.0 else math.nan
+        # the least-squares slope of log D against log R, on Python floats
+        # in a fixed order, so no LAPACK kernel rounds it
+        slope = math.nan
+        if min(ds) > 0.0:
+            lx, ly = [math.log(r) for r in radii], [math.log(d) for d in ds]
+            mx, my = sum(lx) / len(lx), sum(ly) / len(ly)
+            slope = (sum((a - mx) * (b - my) for a, b in zip(lx, ly))
+                     / sum((a - mx) ** 2 for a in lx))
         return {"deviation": ds, "slope": slope,
                 "strictly_decreasing": all(a > b for a, b in zip(ds, ds[1:]))}
 

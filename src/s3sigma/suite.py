@@ -228,7 +228,7 @@ def geodesic_deviations(rc: RunConfig, init: classical.PhaseState,
 def _start_state(rng: Draws, cfg: SpaceConfig, radius_fraction: float) -> classical.PhaseState:
     """Upper-hemisphere start: a normal eps scaled to radius_fraction R, then a normal velocity."""
     eps0 = rng.standard_normal(3)
-    eps0 *= radius_fraction * cfg.R / np.linalg.norm(eps0)
+    eps0 *= radius_fraction * cfg.R / math.sqrt(_dot(eps0, eps0))
     return classical.PhaseState(ChartCoords(eps0, +1), rng.standard_normal(3))
 
 

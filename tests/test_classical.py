@@ -16,7 +16,7 @@ from s3sigma.classical import (_BASIS_NAMES, SolutionPoint, _bracket_matrix,
                                geodesic_equation_residual, invariant_velocities,
                                jacobi_residual, theta_of_darboux)
 from s3sigma.geometry import (LEVI_CIVITA, _heights, canonical_one_form, rho,
-                              sample_chart_points)
+                              sample_chart_arrays)
 from s3sigma.reports import DEFAULT_TOLERANCES
 from s3sigma.sampling import Draws
 
@@ -40,15 +40,15 @@ def test_lagrangian_at_origin(cfg_odd):
 
 
 def test_lagrangian_equals_hamiltonian(cfg_odd, rng):
-    for c in sample_chart_points(rng, cfg_odd, 20, 0.8):
-        s = PhaseState(c, rng.normal(size=3))
+    for e, sign in zip(*sample_chart_arrays(rng, cfg_odd, 20, 0.8)):
+        s = PhaseState(ChartCoords(e, int(sign)), rng.normal(size=3))
         assert lagrangian(s, cfg_odd) == pytest.approx(hamiltonian(s, cfg_odd),
                                                        rel=1e-12)
 
 
 def test_hamiltonian_three_routes_agree(cfg_odd, rng):
-    for c in sample_chart_points(rng, cfg_odd, 30, 0.8):
-        s = PhaseState(c, rng.normal(size=3))
+    for e, sign in zip(*sample_chart_arrays(rng, cfg_odd, 30, 0.8)):
+        s = PhaseState(ChartCoords(e, int(sign)), rng.normal(size=3))
         h_v = hamiltonian(s, cfg_odd, "velocity")
         h_p = hamiltonian(s, cfg_odd, "momentum")
         h_f = hamiltonian(s, cfg_odd, "frame")
@@ -145,7 +145,7 @@ def _c8_per_time_reference(rc, sample_times):
     cfg = rc.space()
     rng = Draws(rc.seed, 8)
     eps0 = rng.standard_normal(3)
-    eps0 *= 0.25 * cfg.R / np.linalg.norm(eps0)
+    eps0 *= 0.25 * cfg.R / math.sqrt(sum(eps0 * eps0))
     init = PhaseState(ChartCoords(eps0, +1), rng.standard_normal(3))
     w = angular_frequency(init, cfg)
     period = 2.0 * math.pi / w
@@ -161,7 +161,7 @@ def _c8_per_time_reference(rc, sample_times):
         t = 0.0
         while len(times) < sample_times:
             e, _, _ = chart(t, omega)
-            if float(np.linalg.norm(e)) < max_norm and _heights(e, 1, cfg) > 0.35:
+            if math.sqrt(sum(e * e)) < max_norm and _heights(e, 1, cfg) > 0.35:
                 times.append(t)
             t += period / 211.0
         rows = [chart(t, omega) for t in times]
@@ -533,10 +533,9 @@ def test_batched_bracket_and_jacobi_tensors_equal_single_rows(R, m, rng):
     # both hemispheres, |eps| up to 0.95 R: one call on all rows gives each
     # row the bits of its own N = 1 call
     cfg = SpaceConfig(R, m)
-    pts = sample_chart_points(rng, cfg, 20, 0.95)
-    x = np.hstack([[c.eps for c in pts], m * rng.normal(size=(20, 3))])
+    eps, signs = sample_chart_arrays(rng, cfg, 20, 0.95)
+    x = np.hstack([eps, m * rng.normal(size=(20, 3))])
     x[0, :3] *= 0.95 * R / np.linalg.norm(x[0, :3])
-    signs = np.array([c.rho_sign for c in pts])
     assert set(signs.tolist()) == {-1, 1}
     for kernel in (_bracket_matrix, _jacobi_sums):
         singles = np.array([kernel(row, sign, cfg) for row, sign in zip(x, signs)])

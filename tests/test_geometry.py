@@ -10,9 +10,15 @@ from s3sigma import (ChartBoundaryError, ChartCoords, DomainError, S3Point,
                      SpaceConfig, StencilError, canonical_one_form, dual_field,
                      killing_residual, metric, metric_inverse, rho)
 from s3sigma.classical import christoffel
-from s3sigma.geometry import LEVI_CIVITA, sample_chart_arrays, sample_chart_points
+from s3sigma.geometry import LEVI_CIVITA, sample_chart_arrays
 from s3sigma import numdiff
 from s3sigma.sampling import Draws
+
+
+def sample_chart_points(rng, cfg, count, max_radius_fraction=0.9, both_hemispheres=True):
+    """`sample_chart_arrays` as one `ChartCoords` per point."""
+    eps, signs = sample_chart_arrays(rng, cfg, count, max_radius_fraction, both_hemispheres)
+    return [ChartCoords(e, int(s)) for e, s in zip(eps, signs)]
 
 
 def chart(eps, sign=+1):

@@ -112,7 +112,7 @@ def test_fd_laplacian_pass_memory_is_bounded():
     basis = MonomialBasis(quantum._basis_coeffs(quantum.labels_up_to(5), cfg, 5), 5)
     tracemalloc.start()
     try:
-        basis.coeffs @ quantum._fd_laplace_beltrami(basis.rows, grid.q, cfg.R)
+        basis.coeffs @ quantum._fd_laplace_beltrami(basis.rows, grid.q, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

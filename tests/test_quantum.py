@@ -1,10 +1,11 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
-from s3sigma import (DomainError, SpaceConfig, SpectralLabel, apply_hamiltonian,
-                     apply_J, apply_nu, apply_position, contraction_study,
+from s3sigma import (DomainError, SigmaGroupElement, SpaceConfig, SpectralLabel,
+                     apply_hamiltonian, apply_J, apply_nu, apply_position, contraction_study,
                      left_action_operator, psi, spectrum)
 from s3sigma.quadrature import axis_rules, build_grid, exact_volume, integrate_values
 from s3sigma.geometry import LEVI_CIVITA
@@ -12,10 +13,9 @@ from s3sigma.qpoly import MonomialBasis, eval_many, monomials
 from s3sigma import quantum
 from s3sigma.quantum import (SmoothBump, WaveFunction, basis_norm_constant,
                              energy, gram_matrix, hermiticity_check,
-                             labels_up_to, measured_normalization_factor)
+                             labels_up_to)
 from s3sigma import numdiff, suite
-from s3sigma.sigma_group import (element_from_coords, left_fields, right_fields,
-                                 sample_batch)
+from s3sigma.sigma_group import left_fields, right_fields, sample_batch
 
 from qpoly_reference import Poly, basis_raw, from_coeffs, to_coeffs, wave_poly
 
@@ -113,6 +113,14 @@ def test_normalization_constant_closed_form():
                 quad = basis_norm_constant(n, l, cfg)
                 closed = _closed_form_norm_constant(n, l, cfg)
                 assert quad == pytest.approx(closed, rel=1e-12), (n, l)
+
+
+def measured_normalization_factor(n, l, cfg):
+    """Fit the free constant nu in N = 2^l l! sqrt(2(n+1)(n-l)!/(nu (n+l+1)!))."""
+    n_quad = basis_norm_constant(n, l, cfg)
+    pref = (2.0 ** l) * math.factorial(l)
+    return (pref ** 2) * 2.0 * (n + 1.0) * math.factorial(n - l) / (
+        math.factorial(n + l + 1) * n_quad ** 2)
 
 
 def test_measured_normalization_factor_is_pi_r_cubed():
@@ -472,7 +480,7 @@ def _reference_residual_table(n_max, grid, cfg, backend):
     if backend == "fd":
         basis = MonomialBasis(quantum._basis_coeffs(labels, cfg, n_max), n_max)
         h_fd = (-0.5 / cfg.m) * (
-            basis.coeffs @ quantum._fd_laplace_beltrami(basis.rows, grid.q, cfg.R))
+            basis.coeffs @ quantum._fd_laplace_beltrami(basis.rows, grid.q, cfg))
     rows = []
     for i, lb in enumerate(labels):
         wf = psi(lb, cfg)
@@ -509,7 +517,7 @@ def _complex_residual_table(n_max, grid, cfg, backend):
     if backend == "analytic":
         images.append((-0.5 / (cfg.m * cfg.R ** 2)) * quantum._operator(n_max, "nu2")(psi_c))
     else:
-        lap = quantum._fd_laplace_beltrami(basis.rows, grid.q, cfg.R)
+        lap = quantum._fd_laplace_beltrami(basis.rows, grid.q, cfg)
         h_fd = np.empty((len(labels), lap.shape[1]), dtype=complex)
         h_fd.real = basis.coeffs.real @ lap
         h_fd.imag = basis.coeffs.imag @ lap
@@ -748,14 +756,14 @@ def test_fd_laplacian_batched_over_functions_equals_single_calls(rng):
     q = rng.normal(size=(quantum._FD_BLOCK + 100, 4))
     q /= np.linalg.norm(q, axis=1, keepdims=True)
     q = np.concatenate([q, _equator_band_q(rng, 50)])
-    singles = np.array([quantum._fd_laplace_beltrami(f, q, cfg.R) for f in fns])
+    singles = np.array([quantum._fd_laplace_beltrami(f, q, cfg) for f in fns])
     stacked = quantum._fd_laplace_beltrami(
-        lambda x: np.stack([f(x) for f in fns]), q, cfg.R)
+        lambda x: np.stack([f(x) for f in fns]), q, cfg)
     np.testing.assert_array_equal(stacked, singles)
     # the rows of degree <= 5 round differently from each function's own:
     # compare them over the same whole-sphere points
     basis = MonomialBasis(quantum._basis_coeffs(labels, cfg, 5), 5)
-    via_rows = basis.coeffs @ quantum._fd_laplace_beltrami(basis.rows, q, cfg.R)
+    via_rows = basis.coeffs @ quantum._fd_laplace_beltrami(basis.rows, q, cfg)
     np.testing.assert_allclose(via_rows, singles, rtol=0.0, atol=1e-8)
 
 
@@ -767,7 +775,7 @@ def test_fd_laplace_block_centre_values_are_the_rows_bit_for_bit(rng):
     q = rng.normal(size=(200, 4))
     q /= np.linalg.norm(q, axis=1, keepdims=True)
     q = np.concatenate([q, _equator_band_q(rng, 56)])
-    _, centre = quantum._fd_laplace_block(basis.rows, q, cfg.R)
+    _, centre = quantum._fd_laplace_block(basis.rows, q, cfg)
     np.testing.assert_array_equal(centre, basis.rows(q))
 
 
@@ -784,7 +792,7 @@ def test_fd_laplacian_holds_on_the_whole_sphere(rng, R, m):
     equator /= np.linalg.norm(equator, axis=1, keepdims=True)
     q = np.concatenate([q, _equator_band_q(rng, 128), equator])
     basis = MonomialBasis(quantum._basis_coeffs(labels, cfg, 5), 5)
-    h_fd = (-0.5 / m) * (basis.coeffs @ quantum._fd_laplace_beltrami(basis.rows, q, R))
+    h_fd = (-0.5 / m) * (basis.coeffs @ quantum._fd_laplace_beltrami(basis.rows, q, cfg))
     e_psi = np.array([energy(lb.n, cfg) for lb in labels])[:, None] * basis.values(q)
     assert len(labels) == 91
     assert np.max(np.abs(h_fd - e_psi)) / np.max(np.abs(e_psi)) < 1e-9
@@ -949,7 +957,8 @@ def test_polarized_lift_reduces_to_operator_dictionary(rng):
         x0 = np.concatenate((g.eps, g.nu, [g.z], [g.phi]))
 
         def lift_coords(x):
-            return lift(element_from_coords(x, g.rho_sign, cfg))
+            return lift(SigmaGroupElement(x[0:3], g.rho_sign, x[3:6], x[6],
+                                          cmath.exp(1j * x[7]), cfg))
 
         grad = np.array([numdiff.partial(lift_coords, x0, a, 1e-6)
                          for a in range(8)])

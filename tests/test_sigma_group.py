@@ -13,12 +13,23 @@ from s3sigma import (DomainError, SigmaGroupElement, SpaceConfig,
 from s3sigma.geometry import ChartCoords, canonical_one_form, dual_field, rho
 from s3sigma.sigma_group import (ElementBatch, bracket_table_report,
                                  compose_many, distance_many, inverse_many,
-                                 dtheta_matrix, element_from_coords,
                                  expected_right_bracket_coefficients,
                                  group_axiom_residuals,
                                  measured_right_bracket_coefficients, sample_batch)
 from s3sigma import numdiff, sigma_group
 from s3sigma.sampling import Draws
+
+
+def element_from_coords(x, rho_sign, cfg):
+    """The element with the 8 coordinates (eps, nu, z, phi)."""
+    x = np.asarray(x, dtype=float)
+    return SigmaGroupElement(x[0:3], rho_sign, x[3:6], float(x[6]),
+                             cmath.exp(1j * float(x[7])), cfg)
+
+
+def dtheta_matrix(g, cfg):
+    """Exterior derivative dTheta[a, b] at one element."""
+    return sigma_group._dtheta(*sigma_group._coords(g.batch), cfg)[0]
 
 
 def distance(a, b, cfg):
@@ -92,7 +103,7 @@ def _reference_compose(gp, g, cfg):
     rp, r = rho(gp.chart(), cfg), rho(g.chart(), cfg)
     w = rp * r - sum((gp.eps / R) * (g.eps / R))
     eps = R * (rp * (g.eps / R) + r * (gp.eps / R) + np.cross(gp.eps / R, g.eps / R))
-    eps_nu = float(np.dot(gp.eps, g.nu))
+    eps_nu = float(sum(gp.eps * g.nu))
     nu = gp.nu + rp * g.nu + np.cross(gp.eps, g.nu) / R + gp.eps * (g.z / R)
     z = gp.z + rp * g.z - eps_nu / R
     zeta = gp.zeta * g.zeta * cmath.exp(1j * -m * (R * (rp - 1.0) * g.z - eps_nu))
@@ -102,7 +113,7 @@ def _reference_compose(gp, g, cfg):
 def _reference_inverse(g, cfg):
     R, m = cfg.R, cfg.m
     r = rho(g.chart(), cfg)
-    eps_nu = float(np.dot(g.eps, g.nu))
+    eps_nu = float(sum(g.eps * g.nu))
     nu = -r * g.nu + np.cross(g.eps, g.nu) / R + g.eps * (g.z / R)
     zeta = g.zeta.conjugate() * cmath.exp(1j * m * (R * (r - 1.0) * g.z + eps_nu))
     return -g.eps, r, nu, -r * g.z - eps_nu / R, zeta / abs(zeta)
@@ -333,7 +344,7 @@ def _reference_frames(y, sign, cfg):
     arithmetic; analytic in y, so a complex y gives complex-step derivatives."""
     R, m = cfg.R, cfg.m
     eps, nu, z = y[0:3], y[3:6], y[6]
-    height2 = 1.0 - np.dot(eps, eps) / (R * R)
+    height2 = 1.0 - sum(eps * eps) / (R * R)
     r = sign * np.sqrt(height2 if np.iscomplexobj(y) else max(0.0, height2))
     left = np.zeros((8, 8), dtype=y.dtype)
     left[0:3, 0:3] = left[3:6, 3:6] = r * np.eye(3) - (-1.0 / R) * _cross(eps)
